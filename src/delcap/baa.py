@@ -22,8 +22,8 @@ import numpy as np
 from .bitseq import BinarySequence, CapExceededError
 from .patcount import counts_for_all_inputs
 
-# Dense matrix is 2^n x (2^(n+1) - 1); past n = 14 it stops fitting in
-# ordinary memory.
+# Dense matrix is 2^n x (2^(n+1) - 1) float64, 4.3 GB at n = 14; past that
+# it stops fitting in ordinary memory.
 BAA_MAX_N = 14
 
 _LN2 = math.log(2.0)
@@ -65,18 +65,15 @@ def build_channel_matrix(n: int, d: float) -> ChannelMatrix:
         raise CapExceededError(f"dense matrix capped at n <= {BAA_MAX_N}, got {n}")
     if not 0.0 < d < 1.0:
         raise ValueError(f"deletion probability {d} outside (0, 1)")
-    size = 1 << n
+    # columns are written in place so the build never holds W twice
+    w = np.empty((1 << n, (1 << (n + 1)) - 1), dtype=np.float64)
     outputs = []
-    columns = []
     for m in range(n + 1):
         scale = (1.0 - d) ** m * d ** (n - m)
         for v in range(1 << m):
             y = BinarySequence.from_numeral(v, m)
+            np.multiply(counts_for_all_inputs(y, n), scale, out=w[:, len(outputs)])
             outputs.append(y)
-            columns.append(counts_for_all_inputs(y, n) * scale)
-    w = np.empty((size, len(outputs)), dtype=np.float64)
-    for j, col in enumerate(columns):
-        w[:, j] = col
     assert abs(w.sum(axis=1) - 1.0).max() < 1e-12, "rows must be stochastic"
     return ChannelMatrix(n=n, d=d, outputs=outputs, w=w)
 
@@ -89,9 +86,12 @@ def _input_divergences(w: ChannelMatrix, p: np.ndarray) -> np.ndarray:
     the mutual information and the multiplicative update.
     """
     q = p @ w.w
+    # in place, so an iteration holds one matrix-sized temporary beside W
     with np.errstate(divide="ignore", invalid="ignore"):
-        contrib = w.w * np.log(w.w / q)
-    contrib = np.where(w.w > 0.0, contrib, 0.0)
+        contrib = np.divide(w.w, q)
+        np.log(contrib, out=contrib)
+        np.multiply(w.w, contrib, out=contrib)
+    np.copyto(contrib, 0.0, where=w.w <= 0.0)
     D = contrib.sum(axis=1)
     return np.where(p > 0.0, D, 0.0)
 

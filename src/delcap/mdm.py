@@ -255,8 +255,15 @@ def _format_checkpoint_line(rep: str, max_count: int, stars: dict) -> str:
     return f"{rep} {max_count} {members}"
 
 
-def _parse_checkpoint(path: str, n: int, m: int) -> dict:
-    """Completed classes from a checkpoint file; malformed lines are skipped."""
+def _parse_checkpoint(path: str, n: int, m: int, use_canonical: bool) -> dict:
+    """Completed classes from a checkpoint file; malformed lines are skipped.
+
+    A line counts only when it is whole: its rep is a class this table
+    solves (the canonical form of itself when folding) and its members are
+    exactly the rep's orbit, each with an n-bit maximizer.  A crash can cut
+    the last line anywhere, and a cut that drops whole members must not
+    parse as a finished class.
+    """
     done: dict[str, tuple[int, dict]] = {}
     if not os.path.exists(path):
         return done
@@ -266,19 +273,32 @@ def _parse_checkpoint(path: str, n: int, m: int) -> dict:
             if len(parts) < 3:
                 continue
             rep, count_text = parts[0], parts[1]
-            if len(rep) != m or not count_text.isdigit():
+            if len(rep) != m or set(rep) - {"0", "1"} or not count_text.isdigit():
                 continue
-            stars = {}
-            ok = True
-            for pair in parts[2:]:
-                member, _, star = pair.partition(":")
-                if len(member) != m or len(star) != n:
-                    ok = False
-                    break
-                stars[member] = star
-            if ok and stars:
-                done[rep] = (int(count_text), stars)
+            y = BinarySequence.from_string(rep)
+            if use_canonical and canonical_form(y) != y:
+                continue
+            stars = dict(pair.partition(":")[::2] for pair in parts[2:])
+            orbit = {member.to_string() for _, member in _orbit_members(y)}
+            if set(stars) != orbit or any(len(x) != n for x in stars.values()):
+                continue
+            done[rep] = (int(count_text), stars)
     return done
+
+
+def _open_checkpoint(path: str):
+    """Open the checkpoint for appending, starting on a fresh line.
+
+    A crash can leave a partial last line; writing straight after it would
+    glue the next class onto the fragment.
+    """
+    fh = open(path, "a", encoding="ascii")
+    if fh.tell() > 0:
+        with open(path, "rb") as tail:
+            tail.seek(-1, os.SEEK_END)
+            if tail.read(1) != b"\n":
+                fh.write("\n")
+    return fh
 
 
 def mdm_table(
@@ -317,33 +337,25 @@ def mdm_table(
 
     solved: dict[str, tuple[int, dict]] = {}
     if checkpoint_path:
-        solved = _parse_checkpoint(checkpoint_path, n, m)
+        solved = _parse_checkpoint(checkpoint_path, n, m, use_canonical)
     todo = [rep for rep in reps if rep not in solved]
 
-    checkpoint_fh = None
-    if checkpoint_path:
-        checkpoint_fh = open(checkpoint_path, "a", encoding="ascii")
+    checkpoint_fh = _open_checkpoint(checkpoint_path) if checkpoint_path else None
+
+    def record(rep: str, max_count: int, stars: dict) -> None:
+        solved[rep] = (max_count, stars)
+        if checkpoint_fh:
+            checkpoint_fh.write(_format_checkpoint_line(rep, max_count, stars) + "\n")
+            checkpoint_fh.flush()
+
     try:
         if threads > 1 and len(todo) > 1:
             with ProcessPoolExecutor(max_workers=threads) as pool:
-                for rep, max_count, stars in pool.map(
-                    _solve_class, todo, [n] * len(todo), chunksize=8
-                ):
-                    solved[rep] = (max_count, stars)
-                    if checkpoint_fh:
-                        checkpoint_fh.write(
-                            _format_checkpoint_line(rep, max_count, stars) + "\n"
-                        )
-                        checkpoint_fh.flush()
+                for result in pool.map(_solve_class, todo, [n] * len(todo), chunksize=8):
+                    record(*result)
         else:
             for rep in todo:
-                rep, max_count, stars = _solve_class(rep, n)
-                solved[rep] = (max_count, stars)
-                if checkpoint_fh:
-                    checkpoint_fh.write(
-                        _format_checkpoint_line(rep, max_count, stars) + "\n"
-                    )
-                    checkpoint_fh.flush()
+                record(*_solve_class(rep, n))
     finally:
         if checkpoint_fh:
             checkpoint_fh.close()

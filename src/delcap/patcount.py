@@ -4,8 +4,11 @@
 the positions of x, of weight len(x) - len(y), whose surviving positions
 spell y.  Equivalently it is the number of distinct embeddings of y as a
 subsequence of x.  The scalar routines return exact Python ints; the
-vectorized sweep uses int64, which holds every reachable count (the maximum
-at n <= 63 is C(63, 31) < 2^63).
+all-inputs kernel (`counts_for_all_inputs`) uses int64, which holds every
+reachable count (the maximum at n <= 63 is C(63, 31) < 2^63).  The kernel
+runs the same DP as `count_deletion_patterns`, walked over input prefixes
+with one vector lane per prefix and only the DP rows that can still reach
+len(y).
 
 Two independent routes are provided on purpose: a prefix dynamic program
 (`count_deletion_patterns`) and a brute-force enumerator over kept-position
@@ -25,8 +28,8 @@ from .bitseq import BinarySequence, CapExceededError
 # practical oracle.
 ORACLE_MAX_N = 20
 
-# The vectorized sweep allocates 2^n counters; 24 matches the exhaustive
-# search cap.
+# The prefix walk peaks at 2 * 2^n int64 values (256 MiB at n = 24); 24
+# matches the exhaustive search cap.
 VECTOR_MAX_N = 24
 
 
@@ -84,23 +87,46 @@ def counts_for_all_inputs(y: BinarySequence, n: int) -> np.ndarray:
     """#(x, y) for every x in {0,1}^n at once.
 
     Returns an int64 array of length 2^n indexed by the numeral value of x.
-    Same rolling DP as the scalar routine, with the whole input space as the
-    vector lane.  This is the kernel behind the exhaustive search and the
-    channel-matrix build.
+    Same rolling DP as the scalar routine, walked over input prefixes: after
+    j bits the DP row depends only on the j-bit prefix of x, so level j holds
+    one lane per prefix, indexed by the prefix's numeral.  Each level doubles
+    the lanes, writing the bit-0 and bit-1 children side by side so that
+    child lane 2p + b is again the numeral of its prefix.
+
+    Only the live band of rows k in [max(0, m-(n-j)), min(j, m)] is kept:
+    rows above it are still zero, and rows below it cannot reach k = m in the
+    n-j bits left.  Whether y[k-1] matches the child bit is a scalar test, so
+    every row update is a plain slice add or copy.  Lane writes total less
+    than 4 * 2^n, and the peak state is the last two levels, at most 2 * 2^n
+    int64 values (16 * 2^n bytes, the result included).  This is the kernel
+    behind the exhaustive search and the channel-matrix build.
     """
     m = len(y)
     if m > n:
         raise ValueError(f"output longer than input ({m} > {n})")
     if n > VECTOR_MAX_N:
         raise CapExceededError(f"vector sweep capped at n <= {VECTOR_MAX_N}, got {n}")
-    size = 1 << n
     ybits = [y.bit(k) for k in range(m)]
-    idx = np.arange(size, dtype=np.int64)
-    state = np.zeros((m + 1, size), dtype=np.int64)
-    state[0] = 1
+    # state[k - lo, p] = embeddings of y[:k] in the prefix with numeral p
+    state = np.ones((1, 1), dtype=np.int64)
+    lo, hi = 0, 0
     for j in range(n):
-        xbit = (idx >> (n - 1 - j)) & 1
-        for k in range(min(j + 1, m), 0, -1):
-            mask = xbit == ybits[k - 1]
-            np.add(state[k], state[k - 1], out=state[k], where=mask)
-    return state[m]
+        new_lo, new_hi = max(0, m - (n - j - 1)), min(j + 1, m)
+        width = 1 << j
+        children = np.empty((new_hi - new_lo + 1, width, 2), dtype=np.int64)
+        for k in range(new_lo, new_hi + 1):
+            keep = state[k - lo] if k <= hi else None
+            for b in (0, 1):
+                out = children[k - new_lo, :, b]
+                grow = state[k - 1 - lo] if k and ybits[k - 1] == b else None
+                if grow is None and keep is None:
+                    out.fill(0)
+                elif grow is None:
+                    out[...] = keep
+                elif keep is None:
+                    out[...] = grow
+                else:
+                    np.add(keep, grow, out=out)
+        state = children.reshape(new_hi - new_lo + 1, 2 * width)
+        lo, hi = new_lo, new_hi
+    return state[0]

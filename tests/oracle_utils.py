@@ -5,6 +5,10 @@ count is obtained by materializing every size-m position subset and
 comparing the selected symbols against y.  Keep it that way — the whole
 point is an independent route to the same numbers.
 
+The one exception is `masked_sweep_counts`, the full-width masked DP sweep
+that `delcap.patcount.counts_for_all_inputs` replaced.  It is kept as the
+slow reference the prefix walk must agree with exactly.
+
 Index conventions match the library: an integer index read big-endian is
 the sequence text, i.e. symbol j of index v is bit (n-1-j) of v.
 """
@@ -14,6 +18,9 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+
+from delcap import BinarySequence, CapExceededError
+from delcap.patcount import VECTOR_MAX_N
 
 
 def combo_positions(n: int, m: int) -> np.ndarray:
@@ -116,3 +123,27 @@ def oracle_counts_pairs(n: int, pairs: list[tuple[int, int, int]], chunk: int = 
             for row, (i, _, y) in zip(nums, part):
                 out[i] = int(np.count_nonzero(row == y))
     return out
+
+
+def masked_sweep_counts(y: BinarySequence, n: int) -> np.ndarray:
+    """#(x, y) for every x in {0,1}^n by the full-width masked sweep.
+
+    Every bit position runs all 2^n lanes through min(j+1, m) masked adds.
+    Same contract as counts_for_all_inputs: int64, indexed by numeral of x.
+    """
+    m = len(y)
+    if m > n:
+        raise ValueError(f"output longer than input ({m} > {n})")
+    if n > VECTOR_MAX_N:
+        raise CapExceededError(f"vector sweep capped at n <= {VECTOR_MAX_N}, got {n}")
+    size = 1 << n
+    ybits = [y.bit(k) for k in range(m)]
+    idx = np.arange(size, dtype=np.int64)
+    state = np.zeros((m + 1, size), dtype=np.int64)
+    state[0] = 1
+    for j in range(n):
+        xbit = (idx >> (n - 1 - j)) & 1
+        for k in range(min(j + 1, m), 0, -1):
+            mask = xbit == ybits[k - 1]
+            np.add(state[k], state[k - 1], out=state[k], where=mask)
+    return state[m]

@@ -10,8 +10,10 @@ from delcap import (
     BinarySequence,
     CapExceededError,
     DupApproach,
+    all_sequences,
     approximate_dup_sequence,
     build_dup_sequence,
+    canonical_form,
     count_deletion_patterns,
     counts_for_all_inputs,
     dup_count_formula,
@@ -24,6 +26,7 @@ from delcap import (
     stirling_lower_bound,
     sum_max_counts,
 )
+from delcap.mdm import _parse_checkpoint
 
 # frozen by two independent routes: the vectorized sweep and per-pair
 # subset enumeration, cross-checked under reversal/complement symmetry
@@ -193,6 +196,37 @@ def test_checkpoint_resume(tmp_path):
         (r.y, r.x_star, r.max_count) for r in resumed.rows
     ]
     assert sorted(path.read_text().splitlines()) == sorted(lines)
+
+
+def test_checkpoint_resume_after_truncation_at_every_byte(tmp_path):
+    path = tmp_path / "progress.ckpt"
+    reference = mdm_table(8, 4, checkpoint_path=str(path))
+    full = path.read_bytes()
+    lines = full.decode("ascii").splitlines()
+    finished = _parse_checkpoint(str(path), 8, 4, use_canonical=True)
+    assert len(finished) == len(lines)
+    for cut in range(len(full)):
+        path.write_bytes(full[:cut])
+        resumed = mdm_table(8, 4, checkpoint_path=str(path))
+        assert resumed.rows == reference.rows, cut
+        text = path.read_text(encoding="ascii")
+        assert text.endswith("\n"), cut
+        # every class is a whole line again; only the cut fragment is left over
+        assert set(lines) <= set(text.splitlines()), cut
+        fragments = [line for line in text.splitlines() if line not in lines]
+        assert len(fragments) <= 1, cut
+        assert all(any(line.startswith(f) for line in lines) for f in fragments), cut
+        assert _parse_checkpoint(str(path), 8, 4, use_canonical=True) == finished, cut
+
+
+def test_checkpoint_rejects_non_canonical_rep_when_folding(tmp_path):
+    path = tmp_path / "progress.ckpt"
+    mdm_table(8, 4, use_canonical=False, checkpoint_path=str(path))
+    unfolded = _parse_checkpoint(str(path), 8, 4, use_canonical=False)
+    folded = _parse_checkpoint(str(path), 8, 4, use_canonical=True)
+    reps = {canonical_form(y).to_string() for y in all_sequences(4)}
+    assert len(unfolded) == 16
+    assert folded == {rep: unfolded[rep] for rep in reps}
 
 
 def test_checkpoint_ignores_malformed_lines(tmp_path):

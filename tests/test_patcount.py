@@ -10,6 +10,7 @@ from delcap import (
     BinarySequence,
     CapExceededError,
     all_sequences,
+    canonical_form,
     complement,
     count_deletion_patterns,
     count_deletion_patterns_oracle,
@@ -17,7 +18,12 @@ from delcap import (
     reverse,
     transition_probability,
 )
-from oracle_utils import oracle_counts_grid, oracle_counts_pairs, oracle_counts_pairs_split
+from oracle_utils import (
+    masked_sweep_counts,
+    oracle_counts_grid,
+    oracle_counts_pairs,
+    oracle_counts_pairs_split,
+)
 
 
 def _seq(text):
@@ -114,6 +120,34 @@ def test_vectorized_sweep_matches_grid_oracle():
             for ynum in range(2**m):
                 y = BinarySequence.from_numeral(ynum, m)
                 assert np.array_equal(grid[:, ynum], counts_for_all_inputs(y, n))
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_prefix_walk_matches_masked_sweep_exhaustive(n):
+    for m in range(n + 1):
+        for y in all_sequences(m):
+            assert np.array_equal(counts_for_all_inputs(y, n), masked_sweep_counts(y, n)), (m, y)
+
+
+def test_prefix_walk_matches_masked_sweep_n16():
+    n = 16
+    reps = {canonical_form(y) for y in all_sequences(8)}
+    rng = random.Random(11)
+    sample = []
+    for _ in range(40):
+        m = rng.randint(0, n)
+        sample.append(BinarySequence.from_numeral(rng.getrandbits(m) if m else 0, m))
+    for y in sorted(reps, key=lambda s: s.numeral()) + sample:
+        got = counts_for_all_inputs(y, n)
+        assert got.dtype == np.int64 and got.shape == (2**n,)
+        assert np.array_equal(got, masked_sweep_counts(y, n)), y
+
+
+def test_lanes_sum_to_binomial_over_outputs():
+    for n in range(11):
+        for m in range(n + 1):
+            total = sum(counts_for_all_inputs(y, n) for y in all_sequences(m))
+            assert np.array_equal(total, np.full(2**n, math.comb(n, m))), (n, m)
 
 
 def test_batch_oracles_agree_with_each_other():
