@@ -28,9 +28,6 @@ from .bitseq import (
     runs,
 )
 from .bounds import (
-    BoundCurve,
-    BoundKind,
-    BoundPoint,
     DegenerateOutputError,
     PSI_CONSTANT,
     bdc_dup_bound_n,
@@ -57,7 +54,6 @@ from .mdm import (
     duplication_ratio,
     flip_sequence,
     is_alternating,
-    mdm_solve,
     mdm_table,
     min_duplication_ratio,
     stirling_lower_bound,
@@ -75,9 +71,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BaaReport",
     "BinarySequence",
-    "BoundCurve",
-    "BoundKind",
-    "BoundPoint",
     "CapExceededError",
     "ChannelMatrix",
     "DegenerateOutputError",
@@ -112,7 +105,6 @@ __all__ = [
     "flip_sequence",
     "is_alternating",
     "kkt_residual",
-    "mdm_solve",
     "mdm_table",
     "min_duplication_ratio",
     "mu_d",

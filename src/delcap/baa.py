@@ -121,6 +121,8 @@ def baa_capacity(
     """
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
+    if max_iter < 1:
+        raise ValueError("iteration cap must be >= 1")
     w = build_channel_matrix(n, d)
     size = 1 << n
     p = np.full(size, 1.0 / size)

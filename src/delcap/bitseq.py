@@ -1,13 +1,10 @@
 """Packed binary sequences and run-length profiles.
 
-A sequence holds up to 63 bits in a single Python int, with bit i of the
-word storing symbol i (low bits first).  The textual form is the usual
-left-to-right string of '0'/'1': symbol 0 is the leftmost character.
-
-All orderings in this package (table row order, orbit minima, tie-breaking
-between maximizers) compare the textual form read as a binary numeral, so
-"0101" < "1010".  The numeral is the bit-reversal of the packed word; the
-packing order itself never leaks into any output.
+A sequence holds up to 63 bits in a single Python int: the sequence read as
+a binary numeral, symbol 0 being the most significant of `length` bits.
+The textual form is the usual left-to-right string of '0'/'1', so "0101"
+packs to 5.  All orderings in this package (table row order, orbit minima,
+tie-breaking between maximizers) compare these numerals, so "0101" < "1010".
 """
 
 from __future__ import annotations
@@ -26,8 +23,8 @@ class CapExceededError(ValueError):
 class BinarySequence:
     """Fixed-length bit sequence packed into one machine word.
 
-    bits above position length-1 must be zero; length 0 is the empty
-    sequence (a fully deleted channel output).
+    bits is the sequence's numeral and must fit in length bits; length 0 is
+    the empty sequence (a fully deleted channel output).
     """
 
     bits: int
@@ -39,41 +36,29 @@ class BinarySequence:
                 f"sequence length {self.length} outside [0, {MAX_LEN}]"
             )
         if self.bits < 0 or self.bits >> self.length:
-            raise ValueError("bits above position length-1 must be zero")
+            raise ValueError(f"numeral {self.bits} does not fit in {self.length} bits")
 
     @classmethod
     def from_string(cls, text: str) -> "BinarySequence":
-        bits = 0
-        for i, ch in enumerate(text):
-            if ch == "1":
-                bits |= 1 << i
-            elif ch != "0":
-                raise ValueError(f"invalid symbol {ch!r} in sequence string")
-        return cls(bits, len(text))
+        junk = text.strip("01")
+        if junk:
+            raise ValueError(f"invalid symbol {junk[0]!r} in sequence string")
+        return cls(int(text, 2) if text else 0, len(text))
 
     @classmethod
     def from_numeral(cls, value: int, length: int) -> "BinarySequence":
         """Sequence whose textual form is `value` written in binary, `length` wide."""
-        if value < 0 or value >> length:
-            raise ValueError(f"numeral {value} does not fit in {length} bits")
-        bits = 0
-        for i in range(length):
-            if (value >> (length - 1 - i)) & 1:
-                bits |= 1 << i
-        return cls(bits, length)
+        return cls(value, length)
 
     def bit(self, i: int) -> int:
-        return (self.bits >> i) & 1
+        return (self.bits >> (self.length - 1 - i)) & 1
 
     def numeral(self) -> int:
         """Textual form read as a binary numeral; basis of every ordering."""
-        v = 0
-        for i in range(self.length):
-            v = (v << 1) | self.bit(i)
-        return v
+        return self.bits
 
     def to_string(self) -> str:
-        return "".join("01"[self.bit(i)] for i in range(self.length))
+        return format(self.bits, f"0{self.length}b") if self.length else ""
 
     def __str__(self) -> str:
         return self.to_string()
@@ -132,11 +117,7 @@ def complement(x: BinarySequence) -> BinarySequence:
 
 def reverse(x: BinarySequence) -> BinarySequence:
     """Bit order reversed, same length."""
-    bits = 0
-    for i in range(x.length):
-        if x.bit(i):
-            bits |= 1 << (x.length - 1 - i)
-    return BinarySequence(bits, x.length)
+    return BinarySequence.from_string(x.to_string()[::-1])
 
 
 def canonical_form(y: BinarySequence) -> BinarySequence:
@@ -145,8 +126,9 @@ def canonical_form(y: BinarySequence) -> BinarySequence:
     Pattern counts are invariant under complement and reversal, so this orbit
     is the symmetry class the search modules reduce over.
     """
-    orbit = [y, complement(y), reverse(y), complement(reverse(y))]
-    return min(orbit, key=BinarySequence.numeral)
+    mask = (1 << y.length) - 1
+    r = reverse(y).bits
+    return BinarySequence(min(y.bits, y.bits ^ mask, r, r ^ mask), y.length)
 
 
 def all_sequences(length: int) -> Iterator[BinarySequence]:

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
-from enum import Enum
 from typing import Optional
 
 from .bitseq import BinarySequence, run_length_profile
@@ -32,55 +30,6 @@ DUP_BOUND_MAX_N = 63
 
 class DegenerateOutputError(ValueError):
     """The typical output length rounded down to zero for this (n, d)."""
-
-
-class BoundKind(str, Enum):
-    BEC_CLOSED = "bec_closed"
-    BSC_CLOSED = "bsc_closed"
-    BDC_ML_RAW = "bdc_ml_raw"
-    BDC_ML_ADJUSTED = "bdc_ml_adjusted"
-    BDC_DUP_APPROX = "bdc_dup_approx"
-    EXPLICIT_APPROX = "explicit_approx"
-    REFERENCE_GOLDEN = "reference_golden"
-    TRIVIAL_ONE_MINUS_D = "trivial_one_minus_d"
-    BAA_PROXY = "baa_proxy"
-    DOBRUSHIN_LOWER = "dobrushin_lower"
-
-
-@dataclass(frozen=True)
-class BoundPoint:
-    """One evaluated bound: channel parameter d, block length n (0 for
-    closed-form/asymptotic kinds), value in bits per symbol."""
-
-    d: float
-    n: int
-    value: float
-    kind: BoundKind
-    approach: Optional[DupApproach] = None
-
-    def __post_init__(self):
-        if not 0.0 <= self.d <= 1.0:
-            raise ValueError(f"parameter {self.d} outside [0, 1]")
-        if not math.isfinite(self.value):
-            raise ValueError("bound value must be finite")
-        if self.kind is BoundKind.TRIVIAL_ONE_MINUS_D and self.value != 1.0 - self.d:
-            raise ValueError("trivial bound must equal 1 - d exactly")
-
-
-@dataclass(frozen=True)
-class BoundCurve:
-    """Bound points sampled over a d-grid, strictly increasing in d."""
-
-    points: list
-    kind: BoundKind
-    n: int
-    grid_step: float = 0.0
-    metadata: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        ds = [p.d for p in self.points]
-        if any(b <= a for a, b in zip(ds, ds[1:])):
-            raise ValueError("curve points must be strictly increasing in d")
 
 
 def _ceil_snap(value: float) -> int:
@@ -175,42 +124,18 @@ def bdc_ml_bound_n(
     return raw, adjusted
 
 
-def _dup_sum_integer(m: int, F: int):
-    """sum over y in {0,1}^m of prod_l C(l*F, l)^(R_l), exactly.
+def _dup_sum(m: int, extra: int, weight):
+    """sum over y in {0,1}^m of the product over the runs of y of weight(l, e).
 
-    Splitting off the final run gives g(t) = sum_l C(l*F, l) g(t-l); the
-    factor 2 counts the starting bit, after which run values are forced.
-    """
-    c = [0] + [math.comb(l * F, l) for l in range(1, m + 1)]
-    g = [0] * (m + 1)
-    g[0] = 1
-    for t in range(1, m + 1):
-        g[t] = sum(c[l] * g[t - l] for l in range(1, t + 1))
-    return 2 * g[m]
-
-
-def _dup_sum_gamma(m: int, F: float) -> float:
-    """Same recurrence with the Gamma generalization of each binomial."""
-    c = [0.0] * (m + 1)
-    for l in range(1, m + 1):
-        c[l] = math.exp(
-            math.lgamma(l * F + 1) - math.lgamma(l + 1) - math.lgamma(l * F - l + 1)
-        )
-    g = [0.0] * (m + 1)
-    g[0] = 1.0
-    for t in range(1, m + 1):
-        g[t] = sum(c[l] * g[t - l] for l in range(1, t + 1))
-    return 2.0 * g[m]
-
-
-def _dup_sum_assign_to_last(m: int, base: int, extra: int):
-    """Trailing-runs assignment summed over all y, exactly.
-
-    Peeling runs from the end keeps the handout deterministic: the final run
-    takes min(left, l) of the leftover bits, so the state is (remaining
-    length, leftover bits).  A blown-up run of length l*base + e matches its
-    l-run in C(l*base + e, l) ways, and the product over runs is the pattern
-    count of the assembled candidate.
+    e is the number of the `extra` leftover bits handed to an l-run, trailing
+    runs first.  Peeling runs from the end keeps the handout deterministic:
+    the final run takes e = min(left, l), so the state is (remaining length,
+    leftover bits) and g(t, r) = sum_l weight(l, e) g(t-l, r-e); the factor
+    2 counts the starting bit, after which run values are forced.  A
+    blown-up run of length l*base + e matches its l-run in C(l*base + e, l)
+    ways, so with that weight the product over runs is the pattern count of
+    the assembled candidate; the Gamma estimate passes extra = 0 and the
+    Gamma generalization of C(l*F, l).
     """
     h = [[0] * (extra + 1) for _ in range(m + 1)]
     h[0][0] = 1
@@ -219,7 +144,7 @@ def _dup_sum_assign_to_last(m: int, base: int, extra: int):
             acc = 0
             for l in range(1, t + 1):
                 e = min(r, l)
-                acc += math.comb(l * base + e, l) * h[t - l][r - e]
+                acc += weight(l, e) * h[t - l][r - e]
             h[t][r] = acc
     return 2 * h[m][extra]
 
@@ -278,14 +203,19 @@ def bdc_dup_bound_n(
         raise ValueError(f"block length {n} outside [1, {DUP_BOUND_MAX_N}]")
     m = typical_output_length(n, d)
     base, extra = divmod(n, m)
-    if extra == 0:
-        total = _dup_sum_integer(m, base)
-    elif approach is DupApproach.GAMMA:
-        total = _dup_sum_gamma(m, n / m)
-    elif approach is DupApproach.ASSIGN_TO_LAST:
-        total = _dup_sum_assign_to_last(m, base, extra)
-    else:
+    if extra and approach is DupApproach.GAMMA:
+        F = n / m
+        total = _dup_sum(
+            m,
+            0,
+            lambda l, _: math.exp(
+                math.lgamma(l * F + 1) - math.lgamma(l + 1) - math.lgamma(l * F - l + 1)
+            ),
+        )
+    elif extra and approach is DupApproach.ASSIGN_BY_LENGTH:
         total = _dup_sum_assign_by_length(m, base, extra)
+    else:
+        total = _dup_sum(m, extra, lambda l, e: math.comb(l * base + e, l))
     return math.log2(total) / n
 
 

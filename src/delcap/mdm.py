@@ -169,36 +169,6 @@ def _dup_estimate(
     return x, count_deletion_patterns(x, y)
 
 
-def mdm_solve(
-    y: BinarySequence, n: int, approach: DupApproach = DupApproach.ASSIGN_TO_LAST
-) -> MdmResult:
-    """Certified maximizer of #(x, y) over x in {0,1}^n.
-
-    Ties are broken toward the smallest numeral value of x.  The result also
-    carries the duplication candidate and ratio; when len(y) divides n the
-    exact product formula applies, otherwise the configured approach fills
-    the estimate.
-    """
-    m = len(y)
-    if m > n:
-        raise ValueError(f"output longer than input ({m} > {n})")
-    if n > SEARCH_MAX_N:
-        raise CapExceededError(f"search capped at n <= {SEARCH_MAX_N}, got {n}")
-    counts = counts_for_all_inputs(y, n)
-    max_count = int(counts.max())
-    x_star = BinarySequence.from_numeral(int(counts.argmax()), n)
-    x_dup, dup_count = _dup_estimate(y, n, approach)
-    return MdmResult(
-        y=y,
-        n=n,
-        x_star=x_star,
-        max_count=max_count,
-        x_dup=x_dup,
-        dup_count=dup_count,
-        ratio=dup_count / max_count,
-    )
-
-
 def _bit_reverse(values: np.ndarray, n: int) -> np.ndarray:
     v = np.asarray(values, dtype=np.int64)
     out = np.zeros_like(v)
@@ -221,6 +191,39 @@ def _orbit_members(y: BinarySequence) -> list[tuple[str, BinarySequence]]:
             seen.add(member.bits)
             out.append((tag, member))
     return out
+
+
+def _classes(m: int, fold: bool) -> dict[str, list[str]]:
+    """Classes of {0,1}^m: rep text -> member texts, both in numeral order.
+
+    With fold a class is a symmetry orbit under complement and reversal
+    (pattern counts are the same on all of it) and its rep is the canonical
+    form, the orbit's first member; without fold every y is its own class.
+    """
+    classes: dict[str, list[str]] = {}
+    for v in range(1 << m):
+        y = BinarySequence.from_numeral(v, m)
+        rep = canonical_form(y) if fold else y
+        classes.setdefault(rep.to_string(), []).append(y.to_string())
+    return classes
+
+
+def _map_classes(solve, reps: list, n: int, threads: int):
+    """Iterator over solve(rep, n) per rep, in order, on up to `threads` processes.
+
+    Callers name `_solve_class` or `_class_max` at call time, so a wrapper
+    installed on the module (a tracer, say) is what runs.
+    """
+    if threads < 1:
+        raise ValueError("thread count must be >= 1")
+    if threads == 1 or len(reps) < 2:
+        return (solve(rep, n) for rep in reps)
+
+    def pooled():
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            yield from pool.map(solve, reps, [n] * len(reps), chunksize=8)
+
+    return pooled()
 
 
 def _solve_class(rep_text: str, n: int) -> tuple[str, int, dict]:
@@ -321,24 +324,13 @@ def mdm_table(
         raise ValueError(f"output longer than input ({m} > {n})")
     if n > SEARCH_MAX_N:
         raise CapExceededError(f"search capped at n <= {SEARCH_MAX_N}, got {n}")
-    if threads < 1:
-        raise ValueError("thread count must be >= 1")
-
-    if use_canonical:
-        reps: list[str] = []
-        seen = set()
-        for v in range(1 << m):
-            rep = canonical_form(BinarySequence.from_numeral(v, m)).to_string()
-            if rep not in seen:
-                seen.add(rep)
-                reps.append(rep)
-    else:
-        reps = [BinarySequence.from_numeral(v, m).to_string() for v in range(1 << m)]
+    classes = _classes(m, use_canonical)
 
     solved: dict[str, tuple[int, dict]] = {}
     if checkpoint_path:
         solved = _parse_checkpoint(checkpoint_path, n, m, use_canonical)
-    todo = [rep for rep in reps if rep not in solved]
+    todo = [rep for rep in classes if rep not in solved]
+    results = _map_classes(_solve_class, todo, n, threads)
 
     checkpoint_fh = _open_checkpoint(checkpoint_path) if checkpoint_path else None
 
@@ -349,36 +341,30 @@ def mdm_table(
             checkpoint_fh.flush()
 
     try:
-        if threads > 1 and len(todo) > 1:
-            with ProcessPoolExecutor(max_workers=threads) as pool:
-                for result in pool.map(_solve_class, todo, [n] * len(todo), chunksize=8):
-                    record(*result)
-        else:
-            for rep in todo:
-                record(*_solve_class(rep, n))
+        for result in results:
+            record(*result)
     finally:
         if checkpoint_fh:
             checkpoint_fh.close()
 
     rows = []
-    for v in range(1 << m):
-        y = BinarySequence.from_numeral(v, m)
-        text = y.to_string()
-        rep = canonical_form(y).to_string() if use_canonical else text
+    for rep, members in classes.items():
         max_count, stars = solved[rep]
-        x_star = BinarySequence.from_string(stars[text])
-        x_dup, dup_count = _dup_estimate(y, n, approach)
-        rows.append(
-            MdmResult(
-                y=y,
-                n=n,
-                x_star=x_star,
-                max_count=max_count,
-                x_dup=x_dup,
-                dup_count=dup_count,
-                ratio=dup_count / max_count,
+        for text in members:
+            y = BinarySequence.from_string(text)
+            x_dup, dup_count = _dup_estimate(y, n, approach)
+            rows.append(
+                MdmResult(
+                    y=y,
+                    n=n,
+                    x_star=BinarySequence.from_string(stars[text]),
+                    max_count=max_count,
+                    x_dup=x_dup,
+                    dup_count=dup_count,
+                    ratio=dup_count / max_count,
+                )
             )
-        )
+    rows.sort(key=lambda row: row.y.numeral())
     return MdmTable(n=n, m=m, rows=rows)
 
 
@@ -397,17 +383,9 @@ def sum_max_counts(n: int, m: int, threads: int = 1) -> int:
         raise ValueError(f"output longer than input ({m} > {n})")
     if n > SEARCH_MAX_N:
         raise CapExceededError(f"search capped at n <= {SEARCH_MAX_N}, got {n}")
-    weight: dict[str, int] = {}
-    for v in range(1 << m):
-        rep = canonical_form(BinarySequence.from_numeral(v, m)).to_string()
-        weight[rep] = weight.get(rep, 0) + 1
-    reps = sorted(weight)
-    if threads > 1 and len(reps) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            maxima = dict(pool.map(_class_max, reps, [n] * len(reps), chunksize=8))
-    else:
-        maxima = dict(_class_max(rep, n) for rep in reps)
-    return sum(weight[rep] * maxima[rep] for rep in reps)
+    classes = _classes(m, fold=True)
+    maxima = _map_classes(_class_max, list(classes), n, threads)
+    return sum(len(classes[rep]) * max_count for rep, max_count in maxima)
 
 
 def duplication_ratio(y: BinarySequence, n: int) -> Fraction:
@@ -415,33 +393,27 @@ def duplication_ratio(y: BinarySequence, n: int) -> Fraction:
     m = len(y)
     if m == 0 or n % m:
         raise ValueError("repeat factor n/len(y) must be a positive integer")
-    counts = counts_for_all_inputs(y, n)
-    return Fraction(dup_count_formula(y, n // m), int(counts.max()))
+    _, max_count = _class_max(y.to_string(), n)
+    return Fraction(dup_count_formula(y, n // m), max_count)
 
 
 def min_duplication_ratio(n: int, F: int) -> tuple[BinarySequence, float]:
     """Minimizing y of the duplication ratio over {0,1}^(n/F) and its ratio.
 
     Requires F to divide n.  Ties go to the smallest numeral y.  The ratio is
-    symmetry-class invariant, so one search per class suffices.
+    symmetry-class invariant and each class rep is its numeral-smallest
+    member, so one search per class suffices.
     """
     if F < 1 or n % F:
         raise ValueError(f"factor {F} must be >= 1 and divide n = {n}")
     if n > SEARCH_MAX_N:
         raise CapExceededError(f"search capped at n <= {SEARCH_MAX_N}, got {n}")
-    m = n // F
-    cache: dict[str, Fraction] = {}
-    best: Optional[tuple[Fraction, BinarySequence]] = None
-    for v in range(1 << m):
-        y = BinarySequence.from_numeral(v, m)
-        rep = canonical_form(y).to_string()
-        if rep not in cache:
-            cache[rep] = duplication_ratio(BinarySequence.from_string(rep), n)
-        gamma = cache[rep]
-        if best is None or gamma < best[0]:
-            best = (gamma, y)
-    assert best is not None
-    return best[1], float(best[0])
+    # equal-length texts compare like their numerals
+    gamma, rep = min(
+        (duplication_ratio(BinarySequence.from_string(rep), n), rep)
+        for rep in _classes(n // F, fold=True)
+    )
+    return BinarySequence.from_string(rep), float(gamma)
 
 
 def flip_sequence(m: int) -> BinarySequence:

@@ -1,8 +1,8 @@
 """Tests for exact bit-sequence handling."""
 
-import random
-
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from delcap import (
     BinarySequence,
@@ -15,6 +15,17 @@ from delcap import (
     run_length_profile,
     runs,
 )
+from delcap.bitseq import MAX_LEN
+
+
+# every length the packing supports, the empty sequence included
+texts = st.text(alphabet="01", max_size=MAX_LEN)
+
+
+@st.composite
+def sequences(draw):
+    length = draw(st.integers(0, MAX_LEN))
+    return BinarySequence.from_numeral(draw(st.integers(0, (1 << length) - 1)), length)
 
 
 def test_from_string_round_trip():
@@ -32,6 +43,15 @@ def test_from_numeral_round_trip():
     for length in (1, 3, 8):
         for value in range(2**length):
             assert BinarySequence.from_numeral(value, length).numeral() == value
+
+
+@given(texts)
+def test_string_numeral_round_trip_property(text):
+    s = BinarySequence.from_string(text)
+    assert s.to_string() == text
+    assert s.numeral() == (int(text, 2) if text else 0)
+    assert BinarySequence.from_numeral(s.numeral(), len(text)) == s
+    assert [s.bit(i) for i in range(len(text))] == [int(ch) for ch in text]
 
 
 def test_empty_sequence():
@@ -76,14 +96,11 @@ def test_complement_reverse_basic():
     assert reverse(BinarySequence.from_string("010")).to_string() == "010"
 
 
-def test_complement_reverse_involutions_commute():
-    rng = random.Random(11)
-    for _ in range(200):
-        length = rng.randint(0, 20)
-        s = BinarySequence.from_numeral(rng.getrandbits(length) if length else 0, length)
-        assert complement(complement(s)) == s
-        assert reverse(reverse(s)) == s
-        assert complement(reverse(s)) == reverse(complement(s))
+@given(sequences())
+def test_complement_reverse_involutions_commute(s):
+    assert complement(complement(s)) == s
+    assert reverse(reverse(s)) == s
+    assert complement(reverse(s)) == reverse(complement(s))
 
 
 def test_canonical_form_examples():
@@ -92,16 +109,15 @@ def test_canonical_form_examples():
     assert canonical_form(BinarySequence.from_string("1110")).to_string() == "0001"
 
 
-def test_canonical_form_is_orbit_minimum_and_invariant():
-    rng = random.Random(23)
-    for _ in range(200):
-        length = rng.randint(1, 16)
-        s = BinarySequence.from_numeral(rng.getrandbits(length), length)
-        rep = canonical_form(s)
-        orbit = [s, complement(s), reverse(s), complement(reverse(s))]
-        assert rep.numeral() == min(t.numeral() for t in orbit)
-        for t in orbit:
-            assert canonical_form(t) == rep
+@given(sequences())
+def test_canonical_form_is_orbit_minimum_and_invariant(s):
+    text = s.to_string()
+    flipped = text.translate(str.maketrans("01", "10"))
+    orbit = (text, flipped, text[::-1], flipped[::-1])
+    rep = canonical_form(s)
+    assert rep.numeral() == min(int(t or "0", 2) for t in orbit)
+    for t in (complement(s), reverse(s), complement(reverse(s))):
+        assert canonical_form(t) == rep
 
 
 def test_runs_and_profile():

@@ -6,9 +6,6 @@ import pytest
 
 from delcap import (
     BinarySequence,
-    BoundCurve,
-    BoundKind,
-    BoundPoint,
     DegenerateOutputError,
     DupApproach,
     PSI_CONSTANT,
@@ -175,22 +172,6 @@ def test_reference_golden_values():
     low = 1.0 - 0.5 * math.log2(4.0 / phi)
     high = 0.5 * math.log2(phi)
     assert low == pytest.approx(high, abs=1e-12)
-
-
-def test_bound_point_trivial_validation():
-    BoundPoint(0.3, 0, 0.7, BoundKind.TRIVIAL_ONE_MINUS_D)
-    with pytest.raises(ValueError):
-        BoundPoint(0.3, 0, 0.5, BoundKind.TRIVIAL_ONE_MINUS_D)
-
-
-def test_bound_curve_requires_increasing_d():
-    pts = [
-        BoundPoint(0.2, 0, bec_bound(0.2), BoundKind.BEC_CLOSED),
-        BoundPoint(0.4, 0, bec_bound(0.4), BoundKind.BEC_CLOSED),
-    ]
-    BoundCurve(points=pts, kind=BoundKind.BEC_CLOSED, n=0)
-    with pytest.raises(ValueError):
-        BoundCurve(points=list(reversed(pts)), kind=BoundKind.BEC_CLOSED, n=0)
 
 
 def test_curve_ordering_moderate_block_length():

@@ -222,6 +222,20 @@ def test_baa_cap_exit_code():
     assert run(["baa", "--n", "15", "--d", "0.5"]) == 3
 
 
+def test_baa_rejects_iteration_cap_below_one(capsys):
+    for cap in ("0", "-3"):
+        assert run(["baa", "--n", "1", "--d", "0.3", "--max-iter", cap]) == 2
+        assert "iteration cap must be >= 1" in capsys.readouterr().err
+
+
+def test_thread_count_below_one_exits_2(tmp_path):
+    out = str(tmp_path / "out.csv")
+    table = ["mdm-table", "--n", "8", "--m", "4"]
+    bounds = ["bounds", "--channel", "bdc", "--n", "8", "--d-grid", "0.4:0.5:0.1"]
+    for argv in (table, bounds):
+        assert run(argv + ["--threads", "0", "--output", out]) == 2
+
+
 def test_hypotheses_csv(tmp_path):
     out = tmp_path / "hyp.csv"
     assert run(["hypotheses", "--n-list", "8,10,12,14", "--factor", "2", "--output", str(out)]) == 0

@@ -20,13 +20,12 @@ from delcap import (
     duplication_ratio,
     flip_sequence,
     is_alternating,
-    mdm_solve,
     mdm_table,
     min_duplication_ratio,
     stirling_lower_bound,
     sum_max_counts,
 )
-from delcap.mdm import _parse_checkpoint
+from delcap.mdm import _parse_checkpoint, _solve_class
 
 # frozen by two independent routes: the vectorized sweep and per-pair
 # subset enumeration, cross-checked under reversal/complement symmetry
@@ -47,7 +46,7 @@ def _seq(text):
 
 
 def test_solve_worked_example():
-    r = mdm_solve(_seq("0101"), 8)
+    r = {row.y.to_string(): row for row in mdm_table(8, 4).rows}["0101"]
     assert r.max_count == 16
     assert r.x_star.to_string() == "00101011"
     assert r.x_dup.to_string() == "00110011"
@@ -72,15 +71,18 @@ def test_small_table_frozen_counts():
 
 
 def test_x_star_is_smallest_numeral_argmax():
+    # every orbit member's maximizer is derived from the rep's count vector
     rng = random.Random(31)
     for _ in range(40):
         n = rng.randint(2, 11)
         m = rng.randint(1, n)
         y = BinarySequence.from_numeral(rng.getrandbits(m), m)
-        r = mdm_solve(y, n)
-        counts = counts_for_all_inputs(y, n)
-        assert r.max_count == counts.max()
-        assert r.x_star.numeral() == int(counts.argmax())
+        _, max_count, stars = _solve_class(y.to_string(), n)
+        assert y.to_string() in stars
+        for member, x_star in stars.items():
+            counts = counts_for_all_inputs(_seq(member), n)
+            assert max_count == counts.max()
+            assert _seq(x_star).numeral() == int(counts.argmax())
 
 
 def test_dup_count_formula_and_sequence():
@@ -171,6 +173,15 @@ def test_table_threads_equivalence():
     assert [(r.y, r.x_star, r.max_count) for r in one.rows] == [
         (r.y, r.x_star, r.max_count) for r in four.rows
     ]
+
+
+def test_thread_count_must_be_positive(tmp_path):
+    path = tmp_path / "progress.ckpt"
+    with pytest.raises(ValueError):
+        mdm_table(8, 4, threads=0, checkpoint_path=str(path))
+    assert not path.exists()
+    with pytest.raises(ValueError):
+        sum_max_counts(8, 4, threads=0)
 
 
 def test_table_rows_sorted_and_complete():
@@ -279,3 +290,4 @@ def test_sum_max_counts():
     assert sum_max_counts(8, 4) == 548
     table = mdm_table(10, 5)
     assert sum_max_counts(10, 5) == sum(r.max_count for r in table.rows)
+    assert sum_max_counts(10, 5, threads=2) == sum_max_counts(10, 5, threads=1)
