@@ -149,45 +149,35 @@ def _dup_sum(m: int, extra: int, weight):
     return 2 * h[m][extra]
 
 
-def _partitions(m: int):
-    """Non-increasing positive partitions of m."""
-    stack: list[int] = []
-
-    def rec(remaining: int, cap: int):
-        if remaining == 0:
-            yield tuple(stack)
-            return
-        for part in range(min(cap, remaining), 0, -1):
-            stack.append(part)
-            yield from rec(remaining - part, part)
-            stack.pop()
-
-    yield from rec(m, m)
-
-
 def _dup_sum_assign_by_length(m: int, base: int, extra: int):
     """Longest-runs assignment summed over all y, exactly.
 
-    The handout depends only on the sorted run lengths, so group sequences
-    by run-length partition: a partition with k parts and multiplicities a_l
-    covers 2 * k! / prod(a_l!) sequences.
+    The handout depends only on the sorted run lengths, so a DP takes the
+    run lengths l = m, m-1, ..., 1 in turn and decides how many parts a of
+    length l the run multiset has.  Extras go to the longest runs first, so
+    once the parts chosen so far cover s = m - t bits of y the leftover is
+    max(0, extra - s): it is implied by t and is not part of the state.
+    The state is (t remaining, k parts so far); each added l-part multiplies
+    the weight by C(l*base + e, l) with e = min(left, l), and adding a parts
+    to k multiplies the orderings by C(k+a, a), whose product over lengths
+    is k!/prod(a_l!).  Updating in place with t ascending is safe: a step
+    only writes to smaller t, already read this round.
     """
-    total = 0
-    for parts in _partitions(m):
-        left = extra
-        weight = 1
-        for l in parts:  # already non-increasing
-            e = min(left, l)
-            left -= e
-            weight *= math.comb(l * base + e, l)
-        arrangements = math.factorial(len(parts))
-        mult: dict[int, int] = {}
-        for l in parts:
-            mult[l] = mult.get(l, 0) + 1
-        for a in mult.values():
-            arrangements //= math.factorial(a)
-        total += 2 * arrangements * weight
-    return total
+    g = [[0] * (m + 1) for _ in range(m + 1)]
+    g[m][0] = 1
+    for l in range(m, 0, -1):
+        for t in range(l, m + 1):
+            for k in range(m - t + 1):
+                acc = g[t][k]
+                if not acc:
+                    continue
+                left = max(0, extra - (m - t))
+                for a in range(1, t // l + 1):
+                    e = min(left, l)
+                    left -= e
+                    acc *= math.comb(l * base + e, l)
+                    g[t - a * l][k + a] += acc * math.comb(k + a, a)
+    return 2 * sum(g[0])
 
 
 def bdc_dup_bound_n(

@@ -272,7 +272,8 @@ def _parse_checkpoint(path: str, n: int, m: int, use_canonical: bool) -> dict:
         return done
     with open(path, "r", encoding="ascii") as fh:
         for line in fh:
-            parts = line.split()
+            # fixed `rep count member:x ...` layout; the m = 0 rep is empty
+            parts = line.rstrip("\n").split(" ")
             if len(parts) < 3:
                 continue
             rep, count_text = parts[0], parts[1]

@@ -5,9 +5,12 @@ count is obtained by materializing every size-m position subset and
 comparing the selected symbols against y.  Keep it that way — the whole
 point is an independent route to the same numbers.
 
-The one exception is `masked_sweep_counts`, the full-width masked DP sweep
-that `delcap.patcount.counts_for_all_inputs` replaced.  It is kept as the
-slow reference the prefix walk must agree with exactly.
+Two exceptions are the code paths that faster ones replaced, kept as the
+slow references the new paths must agree with exactly:
+`masked_sweep_counts`, the full-width masked DP sweep that
+`delcap.patcount.counts_for_all_inputs` replaced, and
+`partition_dup_sum_assign_by_length`, the partition enumeration that the
+run-length DP `delcap.bounds._dup_sum_assign_by_length` replaced.
 
 Index conventions match the library: an integer index read big-endian is
 the sequence text, i.e. symbol j of index v is bit (n-1-j) of v.
@@ -16,6 +19,7 @@ the sequence text, i.e. symbol j of index v is bit (n-1-j) of v.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -147,3 +151,44 @@ def masked_sweep_counts(y: BinarySequence, n: int) -> np.ndarray:
             mask = xbit == ybits[k - 1]
             np.add(state[k], state[k - 1], out=state[k], where=mask)
     return state[m]
+
+
+def _partitions(m: int):
+    """Non-increasing positive partitions of m."""
+    stack: list[int] = []
+
+    def rec(remaining: int, cap: int):
+        if remaining == 0:
+            yield tuple(stack)
+            return
+        for part in range(min(cap, remaining), 0, -1):
+            stack.append(part)
+            yield from rec(remaining - part, part)
+            stack.pop()
+
+    yield from rec(m, m)
+
+
+def partition_dup_sum_assign_by_length(m: int, base: int, extra: int):
+    """Longest-runs assignment summed over all y, exactly.
+
+    The handout depends only on the sorted run lengths, so group sequences
+    by run-length partition: a partition with k parts and multiplicities a_l
+    covers 2 * k! / prod(a_l!) sequences.
+    """
+    total = 0
+    for parts in _partitions(m):
+        left = extra
+        weight = 1
+        for l in parts:  # already non-increasing
+            e = min(left, l)
+            left -= e
+            weight *= math.comb(l * base + e, l)
+        arrangements = math.factorial(len(parts))
+        mult: dict[int, int] = {}
+        for l in parts:
+            mult[l] = mult.get(l, 0) + 1
+        for a in mult.values():
+            arrangements //= math.factorial(a)
+        total += 2 * arrangements * weight
+    return total

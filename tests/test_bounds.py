@@ -26,7 +26,16 @@ from delcap import (
     runs,
     typical_output_length,
 )
+from delcap.bounds import _dup_sum_assign_by_length
 from delcap.mdm import _dup_estimate
+from oracle_utils import partition_dup_sum_assign_by_length
+
+# (m, base, extra, exact assign-by-length sum) at n = 63, computed once with
+# partition_dup_sum_assign_by_length (about 10 s, too slow to rerun here)
+LARGE_N_ASSIGN_BY_LENGTH = {
+    0.1: (57, 1, 6, 315375042414367441516),
+    0.2: (51, 1, 12, 2753089682701201310612),
+}
 
 
 def test_closed_forms():
@@ -111,9 +120,35 @@ def test_dup_bound_below_raw_for_realizable_approaches():
             assert bdc_dup_bound_n(n, d, approach) <= raw + 1e-12
 
 
+def test_assign_by_length_dp_matches_partition_enumeration():
+    for m in range(23):
+        for extra in range(max(m, 1)):
+            for base in (1, 2, 3):
+                assert _dup_sum_assign_by_length(
+                    m, base, extra
+                ) == partition_dup_sum_assign_by_length(m, base, extra), (m, base, extra)
+
+
+def test_assign_by_length_bound_matches_partition_enumeration():
+    n = 50
+    for step in range(3, 10):
+        d = step / 10
+        m = typical_output_length(n, d)
+        base, extra = divmod(n, m)
+        want = math.log2(partition_dup_sum_assign_by_length(m, base, extra)) / n
+        assert bdc_dup_bound_n(n, d, DupApproach.ASSIGN_BY_LENGTH) == want, d
+
+
 def test_dup_bound_large_n_runs():
-    value = bdc_dup_bound_n(63, 0.5, DupApproach.ASSIGN_TO_LAST)
-    assert 0.0 < value < 1.3
+    for approach in DupApproach:
+        for d in (0.1, 0.2, 0.5, 0.9):
+            value = bdc_dup_bound_n(63, d, approach)
+            assert 0.0 < value < 1.3, (approach, d)
+    for d, (m, base, extra, total) in LARGE_N_ASSIGN_BY_LENGTH.items():
+        assert typical_output_length(63, d) == m
+        assert divmod(63, m) == (base, extra)
+        assert _dup_sum_assign_by_length(m, base, extra) == total
+        assert bdc_dup_bound_n(63, d, DupApproach.ASSIGN_BY_LENGTH) == math.log2(total) / 63
 
 
 def test_mu_d_matches_run_expansion():

@@ -85,6 +85,18 @@ def test_table_checkpoint_resume_identical_csv(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_table_checkpoint_empty_output_resumes(tmp_path):
+    # the m = 0 class has an empty rep, so its line starts with a space
+    ckpt = tmp_path / "p.ckpt"
+    outs = []
+    for i in range(3):
+        out = tmp_path / f"{i}.csv"
+        assert run(["mdm-table", "--n", "4", "--m", "0", "--checkpoint", str(ckpt), "--output", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert ckpt.read_text() == " 1 :0000\n"
+    assert outs[0] == outs[1] == outs[2]
+
+
 def test_bounds_bec_matches_closed_form(tmp_path):
     out = tmp_path / "bec.csv"
     assert run(["bounds", "--channel", "bec", "--d-grid", "0.1:0.9:0.1", "--output", str(out)]) == 0

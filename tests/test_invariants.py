@@ -1,0 +1,65 @@
+"""Property tests of invariants the bounds rest on, for inputs up to n = 12."""
+
+import math
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from delcap import (
+    BinarySequence,
+    DupApproach,
+    all_sequences,
+    bdc_ml_bound_n,
+    complement,
+    count_deletion_patterns,
+    counts_for_all_inputs,
+    reverse,
+)
+from delcap.mdm import _dup_estimate
+
+MAX_N = 12
+
+
+def _sequence(draw, length):
+    return BinarySequence.from_numeral(draw(st.integers(0, (1 << length) - 1)), length)
+
+
+@st.composite
+def pairs(draw):
+    """(x, y) with len(y) <= len(x) <= MAX_N."""
+    n = draw(st.integers(1, MAX_N))
+    m = draw(st.integers(0, n))
+    return _sequence(draw, n), _sequence(draw, m)
+
+
+@given(pairs())
+def test_pattern_count_invariant_under_complement_and_reversal(pair):
+    x, y = pair
+    count = count_deletion_patterns(x, y)
+    assert count_deletion_patterns(complement(x), complement(y)) == count
+    assert count_deletion_patterns(reverse(x), reverse(y)) == count
+
+
+@settings(deadline=None)
+@given(pairs())
+def test_pattern_counts_over_all_outputs_sum_to_binomial(pair):
+    x, y = pair
+    n, m = len(x), len(y)
+    total = sum(count_deletion_patterns(x, z) for z in all_sequences(m))
+    assert total == math.comb(n, m)
+
+
+@settings(deadline=None)
+@given(pairs(), st.sampled_from([DupApproach.ASSIGN_TO_LAST, DupApproach.ASSIGN_BY_LENGTH]))
+def test_dup_count_at_most_max_count(pair, approach):
+    x, y = pair
+    n = len(x)
+    _, dup_count = _dup_estimate(y, n, approach)
+    assert dup_count <= int(counts_for_all_inputs(y, n).max())
+
+
+@settings(deadline=None)
+@given(st.integers(1, MAX_N), st.floats(0.01, 0.99))
+def test_adjusted_bound_at_most_trivial_plus_slack(n, d):
+    _, adjusted = bdc_ml_bound_n(n, d)
+    assert adjusted <= 1.0 - d + math.log2(n + 1) / n
