@@ -5,7 +5,9 @@ outputs of length 0..n (the empty output included, otherwise rows would sum
 to 1 - d^n), runs the alternating-maximization iteration from the uniform
 input, and reports the per-symbol capacity proxy with a convergence bracket,
 the KKT residual of the final distribution, and the additive sandwich that
-pins the true capacity under the proxy.
+pins the true capacity under the proxy.  The per-input sum_y W ln W is
+built once beside W, so an iteration costs two matrix-vector products,
+p @ W and W @ ln q, plus O(2^(n+1)) work on vectors.
 
 Input distributions are plain numpy vectors over the 2^n inputs, indexed by
 numeral like everything else; internals work in nats, the API reports bits
@@ -23,7 +25,8 @@ from .bitseq import BinarySequence, CapExceededError
 from .patcount import counts_for_all_inputs
 
 # Dense matrix is 2^n x (2^(n+1) - 1) float64, 4.3 GB at n = 14; past that
-# it stops fitting in ordinary memory.
+# it stops fitting in ordinary memory.  The iteration holds only W beside
+# vectors, but the cap stays until a larger n is measured.
 BAA_MAX_N = 14
 
 _LN2 = math.log(2.0)
@@ -38,13 +41,14 @@ class ChannelMatrix:
     """Dense W(y|x) for block length n and deletion probability d.
 
     Row index is the numeral of x; outputs run over lengths 0..n, each
-    length in numeral order, matching the `outputs` list.
+    length in numeral order, matching `outputs`; h[j] = sum_y w ln w (nats).
     """
 
     n: int
     d: float
     outputs: list
     w: np.ndarray
+    h: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -65,35 +69,43 @@ def build_channel_matrix(n: int, d: float) -> ChannelMatrix:
         raise CapExceededError(f"dense matrix capped at n <= {BAA_MAX_N}, got {n}")
     if not 0.0 < d < 1.0:
         raise ValueError(f"deletion probability {d} outside (0, 1)")
-    # columns are written in place so the build never holds W twice
+    # one column at a time: no second matrix-sized array; ln 1 = 0 where w = 0
     w = np.empty((1 << n, (1 << (n + 1)) - 1), dtype=np.float64)
+    h = np.zeros(1 << n)
     outputs = []
     for m in range(n + 1):
         scale = (1.0 - d) ** m * d ** (n - m)
         for v in range(1 << m):
             y = BinarySequence.from_numeral(v, m)
-            np.multiply(counts_for_all_inputs(y, n), scale, out=w[:, len(outputs)])
+            col = counts_for_all_inputs(y, n) * scale
+            w[:, len(outputs)] = col
+            h += col * np.log(col + (col == 0.0))
             outputs.append(y)
     assert abs(w.sum(axis=1) - 1.0).max() < 1e-12, "rows must be stochastic"
-    return ChannelMatrix(n=n, d=d, outputs=outputs, w=w)
+    return ChannelMatrix(n=n, d=d, outputs=outputs, w=w, h=h)
 
 
 def _input_divergences(w: ChannelMatrix, p: np.ndarray) -> np.ndarray:
-    """D_j = sum_y w[j,y] ln(w[j,y]/q(y)) in nats; rows with p_j = 0 are zeroed.
-
-    q(y) can vanish only where every supported input has w = 0, so the
-    masked rows are exactly the ones whose divergence is irrelevant to both
-    the mutual information and the multiplicative update.
-    """
+    """D_j = sum_y w ln(w/q) = h_j - sum_y w[j,y] ln q(y) nats, for every j;
+    +inf where some y with w[j,y] > 0 has q(y) = 0, only possible off support."""
     q = p @ w.w
-    # in place, so an iteration holds one matrix-sized temporary beside W
-    with np.errstate(divide="ignore", invalid="ignore"):
-        contrib = np.divide(w.w, q)
-        np.log(contrib, out=contrib)
-        np.multiply(w.w, contrib, out=contrib)
-    np.copyto(contrib, 0.0, where=w.w <= 0.0)
-    D = contrib.sum(axis=1)
-    return np.where(p > 0.0, D, 0.0)
+    dead = q <= 0.0
+    D = w.h - w.w @ np.log(q, out=np.zeros_like(q), where=~dead)
+    if dead.any():
+        D[(w.w[:, dead] > 0.0).any(axis=1)] = np.inf
+    return D
+
+
+def _step(w: ChannelMatrix, p: np.ndarray) -> tuple[np.ndarray, float]:
+    """(D, mutual information in nats) of p; D_j is 0 where p_j = 0, which
+    leaves both the information and the update p_j exp(D_j) unchanged."""
+    D = np.where(p > 0.0, _input_divergences(w, p), 0.0)
+    return D, float(p @ D)
+
+
+def _reweight(p: np.ndarray, D: np.ndarray) -> np.ndarray:
+    new = p * np.exp(D)
+    return new / new.sum()
 
 
 def baa_iterate(w: ChannelMatrix, p: np.ndarray) -> tuple[np.ndarray, float]:
@@ -103,11 +115,8 @@ def baa_iterate(w: ChannelMatrix, p: np.ndarray) -> tuple[np.ndarray, float]:
     and the mutual information of the incoming p in bits per symbol.
     """
     p = np.asarray(p, dtype=np.float64)
-    D = _input_divergences(w, p)
-    info = float(p @ D)
-    new = p * np.exp(D)
-    new /= new.sum()
-    return new, info / (w.n * _LN2)
+    D, info = _step(w, p)
+    return _reweight(p, D), info / (w.n * _LN2)
 
 
 def baa_capacity(
@@ -129,15 +138,13 @@ def baa_capacity(
     history: list[float] = []
     converged = False
     for _ in range(max_iter):
-        D = _input_divergences(w, p)
-        info = float(p @ D)
+        D, info = _step(w, p)
         history.append(info / (n * _LN2))
         bracket = (float(D.max()) - info) / (n * _LN2)
         if bracket <= tol:
             converged = True
             break
-        p = p * np.exp(D)
-        p /= p.sum()
+        p = _reweight(p, D)
     proxy = history[-1]
     return BaaReport(
         n=n,
@@ -159,17 +166,15 @@ def kkt_residual(
     With D_j the per-input divergence and lambda their p-average, an optimal
     p has D_j = lambda wherever p_j > 0 and D_j <= lambda elsewhere.  The
     residual adds the worst on-support deviation |D_j - lambda| and the
-    worst off-support excess max(0, D_j - lambda).
+    worst off-support excess max(0, D_j - lambda); inputs p leaves out
+    entirely are checked too, and an infinite D_j gives an infinite residual.
     """
     p = np.asarray(p, dtype=np.float64)
     D = _input_divergences(w, p) / (w.n * _LN2)
-    lam = float(p @ D)
+    lam = float(p @ np.where(p > 0.0, D, 0.0))
     support = p > support_eps
-    on = float(np.abs(D[support] - lam).max()) if support.any() else 0.0
-    off = 0.0
-    if (~support).any():
-        off = max(0.0, float((D[~support] - lam).max()))
-    return on + off
+    on = np.abs(D[support] - lam).max(initial=0.0)
+    return float(on + (D[~support] - lam).max(initial=0.0))
 
 
 def dobrushin_sandwich(n: int, c_n: float) -> tuple[float, float]:

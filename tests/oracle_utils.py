@@ -5,12 +5,15 @@ count is obtained by materializing every size-m position subset and
 comparing the selected symbols against y.  Keep it that way — the whole
 point is an independent route to the same numbers.
 
-Two exceptions are the code paths that faster ones replaced, kept as the
-slow references the new paths must agree with exactly:
+The exceptions are the code paths that faster ones replaced, kept as the
+slow references the new paths must agree with:
 `masked_sweep_counts`, the full-width masked DP sweep that
 `delcap.patcount.counts_for_all_inputs` replaced, and
 `partition_dup_sum_assign_by_length`, the partition enumeration that the
-run-length DP `delcap.bounds._dup_sum_assign_by_length` replaced.
+run-length DP `delcap.bounds._dup_sum_assign_by_length` replaced (both
+exactly), and `direct_input_divergences`, the matrix-wide divergence formula
+that the two matrix-vector products of `delcap.baa._input_divergences`
+replaced (to rounding).
 
 Index conventions match the library: an integer index read big-endian is
 the sequence text, i.e. symbol j of index v is bit (n-1-j) of v.
@@ -192,3 +195,21 @@ def partition_dup_sum_assign_by_length(m: int, base: int, extra: int):
             arrangements //= math.factorial(a)
         total += 2 * arrangements * weight
     return total
+
+
+def direct_input_divergences(w, p: np.ndarray) -> np.ndarray:
+    """D_j = sum_y w[j,y] ln(w[j,y]/q(y)) in nats; rows with p_j = 0 are zeroed.
+
+    q(y) can vanish only where every supported input has w = 0, so the
+    masked rows are exactly the ones whose divergence is irrelevant to both
+    the mutual information and the multiplicative update.
+    """
+    q = p @ w.w
+    # in place, so an iteration holds one matrix-sized temporary beside W
+    with np.errstate(divide="ignore", invalid="ignore"):
+        contrib = np.divide(w.w, q)
+        np.log(contrib, out=contrib)
+        np.multiply(w.w, contrib, out=contrib)
+    np.copyto(contrib, 0.0, where=w.w <= 0.0)
+    D = contrib.sum(axis=1)
+    return np.where(p > 0.0, D, 0.0)

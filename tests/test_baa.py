@@ -14,6 +14,8 @@ from delcap import (
     dobrushin_sandwich,
     kkt_residual,
 )
+from delcap.baa import _input_divergences, _step
+from oracle_utils import direct_input_divergences
 
 
 def test_matrix_single_symbol():
@@ -107,6 +109,64 @@ def test_iterate_preserves_complement_symmetry():
 def test_kkt_residual_uniform_single_symbol():
     w = build_channel_matrix(1, 0.3)
     assert kkt_residual(w, np.array([0.5, 0.5])) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_kkt_residual_checks_inputs_off_a_point_mass_support():
+    # inputs with p_j exactly 0 are scored against lambda, not masked to 0;
+    # the same p with 1e-13 on the other inputs already read 19.4
+    w = build_channel_matrix(2, 0.3)
+    for p in ([1.0, 0.0, 0.0, 0.0], [0.5, 0.0, 0.0, 0.5]):
+        assert kkt_residual(w, np.array(p)) > 1e-3
+    assert kkt_residual(w, np.array([1 - 3e-13, 1e-13, 1e-13, 1e-13])) > 1e-3
+
+
+def _test_distributions(size):
+    rng = np.random.default_rng(5)
+    uniform = np.full(size, 1.0 / size)
+    random = rng.random(size) + 0.01
+    sparse = rng.random(size) + 0.01
+    sparse[::2] = 0.0  # no input ending in 0, so some outputs get q(y) = 0
+    return uniform, random / random.sum(), sparse / sparse.sum()
+
+
+def test_divergences_match_direct_formula():
+    for n in range(1, 9):
+        for d in (0.1, 0.5, 0.9):
+            w = build_channel_matrix(n, d)
+            for p in _test_distributions(2**n):
+                expected = direct_input_divergences(w, p)
+                D, info = _step(w, p)
+                assert np.abs(D - expected).max() <= 1e-12
+                assert info == pytest.approx(float(p @ expected), rel=0, abs=1e-12)
+                unmasked = _input_divergences(w, p)
+                assert np.array_equal(unmasked[p > 0], D[p > 0])
+                new, _ = baa_iterate(w, p)
+                direct = p * np.exp(expected)
+                assert np.abs(new - direct / direct.sum()).max() <= 1e-12
+
+
+def _direct_history(n, d, tol=1e-10, max_iter=20000):
+    """Mutual-information history of the iteration driven by the direct formula."""
+    w = build_channel_matrix(n, d)
+    p = np.full(2**n, 1.0 / 2**n)
+    history = []
+    for _ in range(max_iter):
+        D = direct_input_divergences(w, p)
+        info = float(p @ D)
+        history.append(info / (n * math.log(2.0)))
+        if (float(D.max()) - info) / (n * math.log(2.0)) <= tol:
+            break
+        p = p * np.exp(D)
+        p /= p.sum()
+    return history
+
+
+def test_capacity_history_matches_direct_formula():
+    for n, d in [(4, 0.3), (6, 0.5), (9, 0.2)]:
+        expected = [f"{v:.12g}" for v in _direct_history(n, d)]
+        report = baa_capacity(n, d)
+        assert report.iterations == len(expected)
+        assert [f"{v:.12g}" for v in report.history] == expected
 
 
 def test_dobrushin_sandwich():

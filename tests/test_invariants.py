@@ -9,6 +9,7 @@ from delcap import (
     BinarySequence,
     DupApproach,
     all_sequences,
+    bdc_dup_bound_n,
     bdc_ml_bound_n,
     complement,
     count_deletion_patterns,
@@ -63,3 +64,14 @@ def test_dup_count_at_most_max_count(pair, approach):
 def test_adjusted_bound_at_most_trivial_plus_slack(n, d):
     _, adjusted = bdc_ml_bound_n(n, d)
     assert adjusted <= 1.0 - d + math.log2(n + 1) / n
+
+
+@settings(deadline=None)
+@given(
+    st.integers(1, MAX_N),
+    st.floats(0.01, 0.99),
+    st.sampled_from([DupApproach.ASSIGN_TO_LAST, DupApproach.ASSIGN_BY_LENGTH]),
+)
+def test_dup_bound_at_most_raw_ml_bound(n, d, approach):
+    # realizable candidates count at most the maximum for each output
+    assert bdc_dup_bound_n(n, d, approach) <= bdc_ml_bound_n(n, d)[0] + 1e-12
