@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitseq import BinarySequence, CapExceededError
-from .patcount import counts_for_all_inputs
+from .patcount import counts_for_all_inputs  # noqa: F401  (the benchmark tracer wraps this name)
+from .patcount import split_counts
 
 # Dense matrix is 2^n x (2^(n+1) - 1) float64, 4.3 GB at n = 14; past that
 # it stops fitting in ordinary memory.  The iteration holds only W beside
@@ -64,23 +65,33 @@ class BaaReport:
 
 
 def build_channel_matrix(n: int, d: float) -> ChannelMatrix:
-    """Dense transition matrix w[x, y] = #(x,y) (1-d)^len(y) d^(n-len(y))."""
+    """Dense transition matrix w[x, y] = #(x,y) (1-d)^len(y) d^(n-len(y)).
+
+    Filled one output length at a time from the split kernel
+    (`patcount.split_counts`): each block of counts is scaled and written
+    straight into its slice of W's columns, so beside W the build holds one
+    kernel batch, within `patcount.SPLIT_BYTES`, and no second matrix-sized
+    array.  h gets its terms one column at a time in output order, with
+    ln 1 = 0 where w = 0, so every h_j is the same left-to-right sum at any
+    block size.
+    """
     if not 1 <= n <= BAA_MAX_N:
         raise CapExceededError(f"dense matrix capped at n <= {BAA_MAX_N}, got {n}")
     if not 0.0 < d < 1.0:
         raise ValueError(f"deletion probability {d} outside (0, 1)")
-    # one column at a time: no second matrix-sized array; ln 1 = 0 where w = 0
     w = np.empty((1 << n, (1 << (n + 1)) - 1), dtype=np.float64)
     h = np.zeros(1 << n)
-    outputs = []
+    outputs: list = []
     for m in range(n + 1):
         scale = (1.0 - d) ** m * d ** (n - m)
-        for v in range(1 << m):
-            y = BinarySequence.from_numeral(v, m)
-            col = counts_for_all_inputs(y, n) * scale
-            w[:, len(outputs)] = col
-            h += col * np.log(col + (col == 0.0))
-            outputs.append(y)
+        ys = [BinarySequence.from_numeral(v, m) for v in range(1 << m)]
+        for first, x0, block in split_counts(ys, n):
+            block *= scale
+            rows, col = slice(x0, x0 + block.shape[1]), len(outputs) + first
+            w[rows, col : col + len(block)] = block.T
+            for terms in block * np.log(block + (block == 0.0)):
+                h[rows] += terms
+        outputs += ys
     assert abs(w.sum(axis=1) - 1.0).max() < 1e-12, "rows must be stochastic"
     return ChannelMatrix(n=n, d=d, outputs=outputs, w=w, h=h)
 

@@ -26,6 +26,7 @@ from .bounds import (
     bsc_bound,
     explicit_approx,
     reference_golden_bound,
+    typical_output_length,
 )
 from .mdm import (
     DupApproach,
@@ -123,9 +124,11 @@ def _bdc_point(token: str, d: float, args, ml_cache: dict):
     if token in ("raw", "adjusted"):
         if args.n is None:
             raise ValueError("--n is required for raw/adjusted kinds")
-        if d not in ml_cache:
-            ml_cache[d] = bdc_ml_bound_n(args.n, d, threads=args.threads)
-        raw, adjusted = ml_cache[d]
+        # both values depend on d only through m, so a search per distinct m
+        m = typical_output_length(args.n, d)
+        if m not in ml_cache:
+            ml_cache[m] = bdc_ml_bound_n(args.n, d, threads=args.threads)
+        raw, adjusted = ml_cache[m]
         if token == "raw":
             return "bdc_ml_raw", args.n, raw
         return "bdc_ml_adjusted", args.n, adjusted

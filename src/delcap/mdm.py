@@ -2,11 +2,12 @@
 
 For a fixed output y and input length n, the search finds
 max over x in {0,1}^n of #(x, y) by sweeping the whole input space with the
-vectorized pattern counter.  The duplication estimate replaces the true
-maximizer with the candidate that repeats every bit of y the same number of
-times; its count has the closed product form prod_l C(l*F, l)^(R_l) over the
-run-length profile of y.  The ratio of the two is at most 1 because the
-duplication candidate is feasible.
+split pattern-count kernel, one chunk of symmetry classes per table batch.
+The duplication estimate replaces the true maximizer with the candidate
+that repeats every bit of y the same number of times; its count has the
+closed product form prod_l C(l*F, l)^(R_l) over the run-length profile of
+y.  The ratio of the two is at most 1 because the duplication candidate is
+feasible.
 
 When len(y) does not divide n the repeat factor is fractional and three
 estimates are offered: hand the leftover bits to the trailing runs, hand
@@ -16,9 +17,9 @@ moving to Gamma functions.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -36,7 +37,8 @@ from .bitseq import (
     run_length_profile,
     runs,
 )
-from .patcount import VECTOR_MAX_N, count_deletion_patterns, counts_for_all_inputs
+from .patcount import VECTOR_MAX_N, count_deletion_patterns, split_batch, split_counts
+from .patcount import counts_for_all_inputs  # noqa: F401  (the benchmark tracer wraps this name)
 
 # Exhaustive search sweeps 2^n inputs per output class.
 SEARCH_MAX_N = VECTOR_MAX_N
@@ -208,49 +210,78 @@ def _classes(m: int, fold: bool) -> dict[str, list[str]]:
     return classes
 
 
-def _map_classes(solve, reps: list, n: int, threads: int):
-    """Iterator over solve(rep, n) per rep, in order, on up to `threads` processes.
+def _map_classes(reps: list, n: int, threads: int, ties: bool = False):
+    """Iterator over `_solve_class` results per rep, in order.
 
-    Callers name `_solve_class` or `_class_max` at call time, so a wrapper
-    installed on the module (a tracer, say) is what runs.
+    The reps, all of one length, go in chunks of at most one table batch
+    (`split_batch`), and to up to `threads` processes at least one chunk
+    each.  `_solve_class` is looked up at call time, so a wrapper installed
+    on the module (a tracer, say) is what runs.
     """
     if threads < 1:
         raise ValueError("thread count must be >= 1")
-    if threads == 1 or len(reps) < 2:
-        return (solve(rep, n) for rep in reps)
+    if not reps:
+        return iter(())
+    size = min(split_batch(n, len(reps[0])), -(-len(reps) // threads))
+    chunks = [reps[i : i + size] for i in range(0, len(reps), size)]
+    if threads == 1 or len(chunks) < 2:
+        return itertools.chain.from_iterable(_solve_class(c, n, ties) for c in chunks)
 
     def pooled():
+        # imported here: multiprocessing is heavy and only pooled runs need it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            yield from pool.map(solve, reps, [n] * len(reps), chunksize=8)
+            for solved in pool.map(_solve_class, chunks, [n] * len(chunks), [ties] * len(chunks)):
+                yield from solved
 
     return pooled()
 
 
-def _solve_class(rep_text: str, n: int) -> tuple[str, int, dict]:
-    """Solve one symmetry class and derive every member's tie-broken maximizer.
+def _solve_class(reps: list, n: int, ties: bool = False) -> list[tuple[str, int, dict]]:
+    """Solve a chunk of symmetry classes of one output length: one
+    (rep, max_count, stars) per rep text, in order.
 
-    The maximizer set of a transformed output is the transformed maximizer
-    set, so each member's numeral-minimal x_star falls out of the same count
-    vector without re-running the sweep.
+    The chunk's split tables are built once; each class's counts arrive in
+    blocks that are reduced to the running maximum.  With ties the blocks
+    also keep the four extremes of the argmax set, the smallest and largest
+    numeral plain and bit-reversed, and stars maps every orbit member to
+    its numeral-smallest maximizer: the maximizer set of a complemented or
+    reversed output is the complemented or reversed set.  Without ties
+    stars is empty.
     """
-    y = BinarySequence.from_string(rep_text)
-    counts = counts_for_all_inputs(y, n)
-    max_count = int(counts.max())
-    arg = np.flatnonzero(counts == max_count)
+    ys = [BinarySequence.from_string(rep) for rep in reps]
+    best = [-1] * len(ys)
+    # per class, as minima: smallest numeral, minus the largest, and the
+    # same two for the bit-reversed numerals
+    ends: list = [None] * len(ys)
+    for first, x0, block in split_counts(ys, n):
+        for c, row in enumerate(block, first):
+            top = int(row.max())
+            if top < best[c]:
+                continue
+            if ties:
+                arg = np.flatnonzero(row == top) + x0
+                rev = _bit_reverse(arg, n)
+                found = (int(arg[0]), -int(arg[-1]), int(rev.min()), -int(rev.max()))
+                ends[c] = tuple(map(min, ends[c], found)) if top == best[c] else found
+            best[c] = top
     full = (1 << n) - 1
-    stars: dict[str, str] = {}
-    for tag, member in _orbit_members(y):
-        if tag == "i":
-            best = int(arg.min())
-        elif tag == "c":
+    out = []
+    for y, rep, top, found in zip(ys, reps, best, ends):
+        stars: dict[str, str] = {}
+        if ties:
+            low, minus_high, rev_low, minus_rev_high = found
             # complement maps numeral v to full - v, reversing the order
-            best = full - int(arg.max())
-        elif tag == "r":
-            best = int(_bit_reverse(arg, n).min())
-        else:
-            best = full - int(_bit_reverse(arg, n).max())
-        stars[member.to_string()] = BinarySequence.from_numeral(best, n).to_string()
-    return rep_text, max_count, stars
+            pick = {"i": low, "c": full + minus_high, "r": rev_low, "cr": full + minus_rev_high}
+            for tag, member in _orbit_members(y):
+                stars[member.to_string()] = BinarySequence.from_numeral(pick[tag], n).to_string()
+        out.append((rep, top, stars))
+    return out
+
+
+# the benchmark tracer wraps this name too; the sum takes the same solve
+_class_max = _solve_class
 
 
 def _format_checkpoint_line(rep: str, max_count: int, stars: dict) -> str:
@@ -331,7 +362,7 @@ def mdm_table(
     if checkpoint_path:
         solved = _parse_checkpoint(checkpoint_path, n, m, use_canonical)
     todo = [rep for rep in classes if rep not in solved]
-    results = _map_classes(_solve_class, todo, n, threads)
+    results = _map_classes(todo, n, threads, ties=True)
 
     checkpoint_fh = _open_checkpoint(checkpoint_path) if checkpoint_path else None
 
@@ -369,11 +400,6 @@ def mdm_table(
     return MdmTable(n=n, m=m, rows=rows)
 
 
-def _class_max(rep_text: str, n: int) -> tuple[str, int]:
-    y = BinarySequence.from_string(rep_text)
-    return rep_text, int(counts_for_all_inputs(y, n).max())
-
-
 def sum_max_counts(n: int, m: int, threads: int = 1) -> int:
     """Sum over all y in {0,1}^m of max_x #(x, y), exactly.
 
@@ -385,8 +411,8 @@ def sum_max_counts(n: int, m: int, threads: int = 1) -> int:
     if n > SEARCH_MAX_N:
         raise CapExceededError(f"search capped at n <= {SEARCH_MAX_N}, got {n}")
     classes = _classes(m, fold=True)
-    maxima = _map_classes(_class_max, list(classes), n, threads)
-    return sum(len(classes[rep]) * max_count for rep, max_count in maxima)
+    maxima = _map_classes(list(classes), n, threads)
+    return sum(len(classes[rep]) * max_count for rep, max_count, _ in maxima)
 
 
 def duplication_ratio(y: BinarySequence, n: int) -> Fraction:
@@ -394,7 +420,7 @@ def duplication_ratio(y: BinarySequence, n: int) -> Fraction:
     m = len(y)
     if m == 0 or n % m:
         raise ValueError("repeat factor n/len(y) must be a positive integer")
-    _, max_count = _class_max(y.to_string(), n)
+    [(_, max_count, _)] = _solve_class([y.to_string()], n)
     return Fraction(dup_count_formula(y, n // m), max_count)
 
 
@@ -405,14 +431,14 @@ def min_duplication_ratio(n: int, F: int) -> tuple[BinarySequence, float]:
     symmetry-class invariant and each class rep is its numeral-smallest
     member, so one search per class suffices.
     """
-    if F < 1 or n % F:
-        raise ValueError(f"factor {F} must be >= 1 and divide n = {n}")
+    if F < 1 or n < 1 or n % F:
+        raise ValueError(f"need n >= 1 and a factor F >= 1 dividing it, got n = {n}, F = {F}")
     if n > SEARCH_MAX_N:
         raise CapExceededError(f"search capped at n <= {SEARCH_MAX_N}, got {n}")
     # equal-length texts compare like their numerals
     gamma, rep = min(
-        (duplication_ratio(BinarySequence.from_string(rep), n), rep)
-        for rep in _classes(n // F, fold=True)
+        (Fraction(dup_count_formula(BinarySequence.from_string(rep), F), max_count), rep)
+        for rep, max_count, _ in _map_classes(list(_classes(n // F, fold=True)), n, 1)
     )
     return BinarySequence.from_string(rep), float(gamma)
 

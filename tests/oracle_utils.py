@@ -7,13 +7,18 @@ point is an independent route to the same numbers.
 
 The exceptions are the code paths that faster ones replaced, kept as the
 slow references the new paths must agree with:
-`masked_sweep_counts`, the full-width masked DP sweep that
-`delcap.patcount.counts_for_all_inputs` replaced, and
-`partition_dup_sum_assign_by_length`, the partition enumeration that the
-run-length DP `delcap.bounds._dup_sum_assign_by_length` replaced (both
-exactly), and `direct_input_divergences`, the matrix-wide divergence formula
-that the two matrix-vector products of `delcap.baa._input_divergences`
-replaced (to rounding).
+- `masked_sweep_counts`, the full-width masked DP sweep that the prefix
+  walk replaced (exactly);
+- `prefix_walk_counts`, that prefix walk, which the split kernel
+  `delcap.patcount.split_counts` replaced (exactly), and
+  `walk_channel_matrix`, the column-at-a-time channel-matrix build on it
+  (bit for bit);
+- `partition_dup_sum_assign_by_length`, the partition enumeration that the
+  run-length DP `delcap.bounds._dup_sum_assign_by_length` replaced
+  (exactly);
+- `direct_input_divergences`, the matrix-wide divergence formula that the
+  two matrix-vector products of `delcap.baa._input_divergences` replaced
+  (to rounding).
 
 Index conventions match the library: an integer index read big-endian is
 the sequence text, i.e. symbol j of index v is bit (n-1-j) of v.
@@ -154,6 +159,84 @@ def masked_sweep_counts(y: BinarySequence, n: int) -> np.ndarray:
             mask = xbit == ybits[k - 1]
             np.add(state[k], state[k - 1], out=state[k], where=mask)
     return state[m]
+
+
+def prefix_walk_counts(y: BinarySequence, n: int) -> np.ndarray:
+    """#(x, y) for every x in {0,1}^n at once.
+
+    Returns an int64 array of length 2^n indexed by the numeral value of x.
+    Same rolling DP as the scalar routine, walked over input prefixes: after
+    j bits the DP row depends only on the j-bit prefix of x, so level j holds
+    one lane per prefix, indexed by the prefix's numeral.  Each level doubles
+    the lanes, writing the bit-0 and bit-1 children side by side so that
+    child lane 2p + b is again the numeral of its prefix.
+
+    Only the live band of rows k in [max(0, m-(n-j)), min(j, m)] is kept:
+    rows above it are still zero, and rows below it cannot reach k = m in the
+    n-j bits left.  Whether y[k-1] matches the child bit is a scalar test, so
+    every row update is a plain slice add or copy.  Lane writes total less
+    than 4 * 2^n, and the peak state is the last two levels, at most 2 * 2^n
+    int64 values (16 * 2^n bytes, the result included).  This was the kernel
+    behind the exhaustive search and the channel-matrix build.
+    """
+    m = len(y)
+    if m > n:
+        raise ValueError(f"output longer than input ({m} > {n})")
+    if n > VECTOR_MAX_N:
+        raise CapExceededError(f"vector sweep capped at n <= {VECTOR_MAX_N}, got {n}")
+    ybits = [y.bit(k) for k in range(m)]
+    # state[k - lo, p] = embeddings of y[:k] in the prefix with numeral p
+    state = np.ones((1, 1), dtype=np.int64)
+    lo, hi = 0, 0
+    for j in range(n):
+        new_lo, new_hi = max(0, m - (n - j - 1)), min(j + 1, m)
+        width = 1 << j
+        children = np.empty((new_hi - new_lo + 1, width, 2), dtype=np.int64)
+        for k in range(new_lo, new_hi + 1):
+            keep = state[k - lo] if k <= hi else None
+            for b in (0, 1):
+                out = children[k - new_lo, :, b]
+                grow = state[k - 1 - lo] if k and ybits[k - 1] == b else None
+                if grow is None and keep is None:
+                    out.fill(0)
+                elif grow is None:
+                    out[...] = keep
+                elif keep is None:
+                    out[...] = grow
+                else:
+                    np.add(keep, grow, out=out)
+        state = children.reshape(new_hi - new_lo + 1, 2 * width)
+        lo, hi = new_lo, new_hi
+    return state[0]
+
+
+def walk_table(n: int, m: int) -> dict[str, tuple[int, str]]:
+    """{y: (max_x #(x, y), numeral-smallest maximizer x)} for every y in
+    {0,1}^m, one `prefix_walk_counts` sweep per y, no symmetry folding."""
+    out = {}
+    for v in range(1 << m):
+        y = BinarySequence.from_numeral(v, m)
+        counts = prefix_walk_counts(y, n)
+        star = BinarySequence.from_numeral(int(counts.argmax()), n)
+        out[y.to_string()] = (int(counts.max()), star.to_string())
+    return out
+
+
+def walk_channel_matrix(n: int, d: float) -> tuple[np.ndarray, np.ndarray]:
+    """(W, h) as `delcap.baa.build_channel_matrix` built them column by column
+    from `prefix_walk_counts`, h[j] = sum_y w ln w summed in column order."""
+    w = np.empty((1 << n, (1 << (n + 1)) - 1), dtype=np.float64)
+    h = np.zeros(1 << n)
+    column = 0
+    for m in range(n + 1):
+        scale = (1.0 - d) ** m * d ** (n - m)
+        for v in range(1 << m):
+            y = BinarySequence.from_numeral(v, m)
+            col = prefix_walk_counts(y, n) * scale
+            w[:, column] = col
+            h += col * np.log(col + (col == 0.0))
+            column += 1
+    return w, h
 
 
 def _partitions(m: int):

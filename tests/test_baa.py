@@ -14,8 +14,9 @@ from delcap import (
     dobrushin_sandwich,
     kkt_residual,
 )
+from delcap import patcount
 from delcap.baa import _input_divergences, _step
-from oracle_utils import direct_input_divergences
+from oracle_utils import direct_input_divergences, walk_channel_matrix
 
 
 def test_matrix_single_symbol():
@@ -44,6 +45,20 @@ def test_matrix_rows_are_distributions():
     w = build_channel_matrix(6, 0.37)
     assert w.w.shape == (64, 2**7 - 1)
     assert np.abs(w.w.sum(axis=1) - 1.0).max() < 1e-12
+
+
+@pytest.mark.parametrize("budget", [None, 1 << 12])
+@pytest.mark.parametrize("d", [0.2, 0.7])
+def test_matrix_matches_walk_built_matrix(monkeypatch, d, budget):
+    # bit for bit, h included: its sums must not change order; the small
+    # budget fills W from row blocks of single outputs
+    if budget:
+        monkeypatch.setattr(patcount, "SPLIT_BYTES", budget)
+    for n in range(1, 11):
+        w = build_channel_matrix(n, d)
+        want_w, want_h = walk_channel_matrix(n, d)
+        assert np.array_equal(w.w, want_w), n
+        assert np.array_equal(w.h, want_h), n
 
 
 def test_matrix_cap():

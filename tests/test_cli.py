@@ -8,6 +8,7 @@ import math
 
 import pytest
 
+from delcap import cli, typical_output_length
 from delcap.cli import main
 
 
@@ -109,6 +110,29 @@ def test_bounds_bec_matches_closed_form(tmp_path):
         assert n_text == "0"
         assert float(value) == pytest.approx(1.0 - float(d_text), abs=5e-7)
     assert lines[3] == "0.300000,bec_closed,0,0.700000"
+
+
+def test_bounds_ml_searches_once_per_output_length(tmp_path, monkeypatch):
+    calls = []
+    search = cli.bdc_ml_bound_n
+
+    def counting(n, d, threads=1):
+        calls.append(typical_output_length(n, d))
+        return search(n, d, threads=threads)
+
+    monkeypatch.setattr(cli, "bdc_ml_bound_n", counting)
+    out = tmp_path / "ml.csv"
+    argv = ["bounds", "--channel", "bdc", "--n", "8", "--d-grid", "0.05:0.95:0.05"]
+    assert run(argv + ["--kinds", "raw,adjusted", "--output", str(out)]) == 0
+    grid = cli._parse_grid("0.05:0.95:0.05")
+    lengths = [typical_output_length(8, d) for d in grid]
+    assert sorted(calls) == sorted(set(lengths)) and len(set(lengths)) < len(grid)
+    # the rows one search per d gives
+    want = ["d,kind,n,value"]
+    for d in grid:
+        raw, adjusted = search(8, d)
+        want += [f"{d:.6f},bdc_ml_raw,8,{raw:.6f}", f"{d:.6f},bdc_ml_adjusted,8,{adjusted:.6f}"]
+    assert out.read_bytes() == ("\n".join(want) + "\n").encode("ascii")
 
 
 def test_bounds_bdc_kinds_and_order(tmp_path):

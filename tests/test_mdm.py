@@ -15,7 +15,6 @@ from delcap import (
     build_dup_sequence,
     canonical_form,
     count_deletion_patterns,
-    counts_for_all_inputs,
     dup_count_formula,
     duplication_ratio,
     flip_sequence,
@@ -25,7 +24,9 @@ from delcap import (
     stirling_lower_bound,
     sum_max_counts,
 )
+from delcap import patcount
 from delcap.mdm import _parse_checkpoint, _solve_class
+from oracle_utils import prefix_walk_counts, walk_table
 
 # frozen by two independent routes: the vectorized sweep and per-pair
 # subset enumeration, cross-checked under reversal/complement symmetry
@@ -77,10 +78,10 @@ def test_x_star_is_smallest_numeral_argmax():
         n = rng.randint(2, 11)
         m = rng.randint(1, n)
         y = BinarySequence.from_numeral(rng.getrandbits(m), m)
-        _, max_count, stars = _solve_class(y.to_string(), n)
+        [(_, max_count, stars)] = _solve_class([y.to_string()], n, ties=True)
         assert y.to_string() in stars
         for member, x_star in stars.items():
-            counts = counts_for_all_inputs(_seq(member), n)
+            counts = prefix_walk_counts(_seq(member), n)
             assert max_count == counts.max()
             assert _seq(x_star).numeral() == int(counts.argmax())
 
@@ -284,6 +285,42 @@ def test_stirling_lower_bound_holds():
         floor = stirling_lower_bound(n, 2)
         assert floor == pytest.approx(2 ** (n // 2) / math.comb(n, n // 2), rel=1e-12)
         assert floor <= gamma + 1e-12
+
+
+def _assert_table_matches_walk(table, n, m):
+    oracle = walk_table(n, m)
+    assert [r.y.to_string() for r in table.rows] == sorted(oracle)
+    for row in table.rows:
+        assert (row.max_count, row.x_star.to_string()) == oracle[row.y.to_string()], (n, m, row.y)
+
+
+def test_sum_max_counts_and_table_match_walk_oracle():
+    for n in range(13):
+        for m in range(n + 1):
+            oracle = walk_table(n, m)
+            assert sum_max_counts(n, m) == sum(top for top, _ in oracle.values()), (n, m)
+            _assert_table_matches_walk(mdm_table(n, m), n, m)
+
+
+def test_table_matches_walk_oracle_across_row_blocks(monkeypatch):
+    # a 1 KiB budget cuts every class's counts into one-row blocks, so the
+    # maximum and the argmax extremes are merged across blocks
+    monkeypatch.setattr(patcount, "SPLIT_BYTES", 1 << 10)
+    for n, m in [(8, 0), (9, 3), (10, 5), (11, 8), (12, 6)]:
+        _assert_table_matches_walk(mdm_table(n, m), n, m)
+        assert sum_max_counts(n, m) == sum(top for top, _ in walk_table(n, m).values())
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (6, 0), (9, 4), (12, 6), (12, 11)])
+def test_pooled_table_and_resume_match_walk_oracle(tmp_path, n, m):
+    _assert_table_matches_walk(mdm_table(n, m, threads=2), n, m)
+    assert sum_max_counts(n, m, threads=2) == sum(top for top, _ in walk_table(n, m).values())
+    path = tmp_path / "progress.ckpt"
+    mdm_table(n, m, checkpoint_path=str(path))
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[: len(lines) // 2]))  # cut mid-file, no final newline
+    _assert_table_matches_walk(mdm_table(n, m, threads=2, checkpoint_path=str(path)), n, m)
+    assert set(lines) <= set(path.read_text().splitlines())
 
 
 def test_sum_max_counts():

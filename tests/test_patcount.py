@@ -18,8 +18,10 @@ from delcap import (
     reverse,
     transition_probability,
 )
+from delcap import patcount
 from oracle_utils import (
     masked_sweep_counts,
+    prefix_walk_counts,
     oracle_counts_grid,
     oracle_counts_pairs,
     oracle_counts_pairs_split,
@@ -122,25 +124,79 @@ def test_vectorized_sweep_matches_grid_oracle():
                 assert np.array_equal(grid[:, ynum], counts_for_all_inputs(y, n))
 
 
+def _random_outputs(rng, n, count):
+    out = []
+    for _ in range(count):
+        m = rng.randint(0, n)
+        out.append(BinarySequence.from_numeral(rng.getrandbits(m) if m else 0, m))
+    return out
+
+
+def _assert_split_kernel_matches(y, n, masked=True):
+    got = counts_for_all_inputs(y, n)
+    assert got.dtype == np.int64 and got.shape == (2**n,)
+    assert np.array_equal(got, prefix_walk_counts(y, n)), (n, y)
+    if masked:
+        assert np.array_equal(got, masked_sweep_counts(y, n)), (n, y)
+
+
+# the split kernel against both sweeps it replaced, n = 0 and 1 included
 @pytest.mark.parametrize("n", range(13))
 def test_prefix_walk_matches_masked_sweep_exhaustive(n):
     for m in range(n + 1):
         for y in all_sequences(m):
-            assert np.array_equal(counts_for_all_inputs(y, n), masked_sweep_counts(y, n)), (m, y)
+            _assert_split_kernel_matches(y, n)
 
 
 def test_prefix_walk_matches_masked_sweep_n16():
     n = 16
     reps = {canonical_form(y) for y in all_sequences(8)}
-    rng = random.Random(11)
-    sample = []
-    for _ in range(40):
-        m = rng.randint(0, n)
-        sample.append(BinarySequence.from_numeral(rng.getrandbits(m) if m else 0, m))
+    sample = _random_outputs(random.Random(11), n, 40)
     for y in sorted(reps, key=lambda s: s.numeral()) + sample:
-        got = counts_for_all_inputs(y, n)
-        assert got.dtype == np.int64 and got.shape == (2**n,)
-        assert np.array_equal(got, masked_sweep_counts(y, n)), y
+        _assert_split_kernel_matches(y, n)
+
+
+# the masked sweep would hold (m+1) * 2^24 int64 values at n = 24
+@pytest.mark.parametrize("n, count", [(20, 6), (24, 2)])
+def test_split_kernel_matches_prefix_walk_sampled(n, count):
+    rng = random.Random(n)
+    sample = _random_outputs(rng, n, count)
+    sample.append(BinarySequence.from_numeral(rng.getrandbits(n // 2), n // 2))
+    for y in sample:
+        _assert_split_kernel_matches(y, n, masked=n < 24)
+
+
+@pytest.mark.parametrize("budget", [1, 1 << 12, 1 << 15])
+def test_split_counts_blocks_cover_every_pair_in_order(monkeypatch, budget):
+    # small budgets force batches of one output and row blocks of one row
+    monkeypatch.setattr(patcount, "SPLIT_BYTES", budget)
+    n = 9
+    for m in (0, 3, 5, 9):
+        ys = list(all_sequences(m))
+        seen = []
+        for first, x0, block in patcount.split_counts(ys, n):
+            assert block.dtype == np.float64 and block.ndim == 2
+            for i, row in enumerate(block):
+                seen.append((first + i, x0, row.shape[0]))
+                want = prefix_walk_counts(ys[first + i], n)[x0 : x0 + row.shape[0]]
+                assert np.array_equal(row, want), (m, first + i, x0)
+        # every output's lanes arrive in order, whole and once
+        expect, cursor = [], {}
+        for c, x0, width in seen:
+            assert x0 == cursor.get(c, 0)
+            cursor[c] = x0 + width
+            expect.append(c)
+        assert expect == sorted(expect)
+        assert cursor == {c: 2**n for c in range(len(ys))}
+
+
+def test_split_counts_rejects_mixed_lengths_and_caps():
+    with pytest.raises(ValueError):
+        patcount.split_counts([_seq("01"), _seq("011")], 5)
+    with pytest.raises(ValueError):
+        counts_for_all_inputs(_seq("0110"), 3)
+    with pytest.raises(CapExceededError):
+        counts_for_all_inputs(_seq("01"), patcount.VECTOR_MAX_N + 1)
 
 
 def test_lanes_sum_to_binomial_over_outputs():
