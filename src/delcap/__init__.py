@@ -36,10 +36,7 @@ from .bounds import (
     bec_finite_n_check,
     bsc_bound,
     bsc_finite_n_check,
-    expected_runs,
-    expected_runs_exact,
     explicit_approx,
-    mu_d,
     psi,
     reference_golden_bound,
     typical_output_length,
@@ -63,7 +60,6 @@ from .patcount import (
     count_deletion_patterns,
     count_deletion_patterns_oracle,
     counts_for_all_inputs,
-    transition_probability,
 )
 
 __version__ = "0.1.0"
@@ -99,15 +95,12 @@ __all__ = [
     "dobrushin_sandwich",
     "dup_count_formula",
     "duplication_ratio",
-    "expected_runs",
-    "expected_runs_exact",
     "explicit_approx",
     "flip_sequence",
     "is_alternating",
     "kkt_residual",
     "mdm_table",
     "min_duplication_ratio",
-    "mu_d",
     "psi",
     "reference_golden_bound",
     "reverse",
@@ -115,6 +108,5 @@ __all__ = [
     "runs",
     "stirling_lower_bound",
     "sum_max_counts",
-    "transition_probability",
     "typical_output_length",
 ]

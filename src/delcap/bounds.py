@@ -12,10 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from typing import Optional
-
-from .bitseq import BinarySequence, run_length_profile
-from .mdm import DupApproach, MdmTable, sum_max_counts
+from .mdm import DupApproach, sum_max_counts
 
 # ceil(n * p) snaps to the nearest integer within this slack so that
 # grid-aligned products like 10 * 0.3 do not ceil one step too far.
@@ -95,30 +92,16 @@ def typical_output_length(n: int, d: float) -> int:
     return m
 
 
-def bdc_ml_bound_n(
-    n: int,
-    d: float,
-    table: Optional[MdmTable] = None,
-    threads: int = 1,
-) -> tuple[float, float]:
+def bdc_ml_bound_n(n: int, d: float, threads: int = 1) -> tuple[float, float]:
     """Finite-n ML bound for the deletion channel as (raw, adjusted).
 
     raw = (1/n) log2 sum over y in {0,1}^m of max_x #(x, y) with
     m = ceil(n(1-d)); adjusted subtracts (1/n) log2 C(n, m), the finite-n
     counterpart of the asymptotic entropy term, and never exceeds
-    1 - d + log2(n+1)/n.  A precomputed table for the same (n, m) short-cuts
-    the search.
+    1 - d + log2(n+1)/n.
     """
     m = typical_output_length(n, d)
-    if table is not None:
-        if table.n != n or table.m != m:
-            raise ValueError(
-                f"table is for (n={table.n}, m={table.m}), need (n={n}, m={m})"
-            )
-        total = sum(row.max_count for row in table.rows)
-    else:
-        total = sum_max_counts(n, m, threads=threads)
-    log_total = math.log2(total)
+    log_total = math.log2(sum_max_counts(n, m, threads=threads))
     raw = log_total / n
     adjusted = (log_total - math.log2(math.comb(n, m))) / n
     return raw, adjusted
@@ -207,40 +190,6 @@ def bdc_dup_bound_n(
     else:
         total = _dup_sum(m, extra, lambda l, e: math.comb(l * base + e, l))
     return math.log2(total) / n
-
-
-def mu_d(y: BinarySequence, d: float) -> float:
-    """(1/2) sum_l R_l ln((2 pi / e)^2 * d * l) over the run profile of y."""
-    _check_open_unit(d)
-    total = 0.0
-    for l, r in run_length_profile(y).counts.items():
-        total += r * math.log(_TWO_PI_OVER_E**2 * d * l)
-    return 0.5 * total
-
-
-def expected_runs(m: int, ell: int) -> float:
-    """Mean number of ell-runs in a uniform length-m sequence: m / 2^(ell+1).
-
-    This is the infinite-sequence rate; see expected_runs_exact for the
-    boundary-corrected value.
-    """
-    if not 1 <= ell <= m:
-        raise ValueError(f"run length {ell} outside [1, {m}]")
-    return m / 2 ** (ell + 1)
-
-
-def expected_runs_exact(m: int, ell: int) -> float:
-    """Exact mean number of ell-runs in a uniform length-m sequence.
-
-    Maximal runs at the two boundaries are half as constrained as interior
-    ones, which lifts the rate to (m - ell + 3) / 2^(ell+1) for ell < m; the
-    two constant sequences give 2^(1-m) at ell = m.
-    """
-    if not 1 <= ell <= m:
-        raise ValueError(f"run length {ell} outside [1, {m}]")
-    if ell == m:
-        return 2.0 ** (1 - m)
-    return (m - ell + 3) / 2 ** (ell + 1)
 
 
 def _psi_constant() -> float:

@@ -97,7 +97,6 @@ def cmd_mdm_table(args) -> int:
     table = mdm_table(
         args.n,
         args.m,
-        use_canonical=not args.no_canonical,
         approach=DupApproach(args.approach),
         threads=args.threads,
         checkpoint_path=args.checkpoint,
@@ -288,11 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_table.add_argument("--threads", type=int, default=1)
     p_table.add_argument("--checkpoint", default=None, help="resumable progress file")
-    p_table.add_argument(
-        "--no-canonical",
-        action="store_true",
-        help="solve every y separately instead of per symmetry class",
-    )
     p_table.add_argument("--output", required=True, help="CSV path")
     p_table.set_defaults(func=cmd_mdm_table)
 

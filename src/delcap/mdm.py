@@ -3,6 +3,11 @@
 For a fixed output y and input length n, the search finds
 max over x in {0,1}^n of #(x, y) by sweeping the whole input space with the
 split pattern-count kernel, one chunk of symmetry classes per table batch.
+Pattern counts are the same on every member of an orbit under complement
+and reversal, so one sweep over all y in {0,1}^m maps each y's numeral to
+its orbit's smallest numeral, the class rep, and only reps are solved.
+Outputs, reps and maximizers stay numerals throughout; they become text
+only in checkpoint lines.
 The duplication estimate replaces the true maximizer with the candidate
 that repeats every bit of y the same number of times; its count has the
 closed product form prod_l C(l*F, l)^(R_l) over the run-length profile of
@@ -27,16 +32,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .bitseq import (
-    MAX_LEN,
-    BinarySequence,
-    CapExceededError,
-    canonical_form,
-    complement,
-    reverse,
-    run_length_profile,
-    runs,
-)
+from .bitseq import MAX_LEN, BinarySequence, CapExceededError, run_length_profile, runs
+from .bitseq import canonical_form  # noqa: F401  (the benchmark tracer wraps this name)
 from .patcount import VECTOR_MAX_N, count_deletion_patterns, split_batch, split_counts
 from .patcount import counts_for_all_inputs  # noqa: F401  (the benchmark tracer wraps this name)
 
@@ -171,49 +168,51 @@ def _dup_estimate(
     return x, count_deletion_patterns(x, y)
 
 
+# every byte value with its 8 bits in reverse order, built from Python ints:
+# numpy ops at import time would add resident pages to every command
+_REVERSED_BYTE = np.array([sum(((v >> b) & 1) << (7 - b) for b in range(8)) for v in range(256)])
+
+
 def _bit_reverse(values: np.ndarray, n: int) -> np.ndarray:
+    """The n-bit numerals in values with their bit order reversed."""
     v = np.asarray(values, dtype=np.int64)
     out = np.zeros_like(v)
-    for b in range(n):
-        out = (out << 1) | ((v >> b) & 1)
-    return out
+    for shift in range(0, n, 8):
+        out = (out << 8) | _REVERSED_BYTE[(v >> shift) & 255]
+    # the last byte holds fewer than 8 of the n bits when 8 does not divide n
+    return out >> (-n % 8)
 
 
-def _orbit_members(y: BinarySequence) -> list[tuple[str, BinarySequence]]:
-    """Distinct members of {y, ~y, rev y, ~rev y} tagged by transform."""
-    out: list[tuple[str, BinarySequence]] = []
-    seen = set()
-    for tag, member in (
-        ("i", y),
-        ("c", complement(y)),
-        ("r", reverse(y)),
-        ("cr", complement(reverse(y))),
-    ):
-        if member.bits not in seen:
-            seen.add(member.bits)
-            out.append((tag, member))
-    return out
+def _orbit(ys, m: int) -> tuple:
+    """Numerals of y, ~y, rev y and ~rev y for every length-m numeral in ys.
 
-
-def _classes(m: int, fold: bool) -> dict[str, list[str]]:
-    """Classes of {0,1}^m: rep text -> member texts, both in numeral order.
-
-    With fold a class is a symmetry orbit under complement and reversal
-    (pattern counts are the same on all of it) and its rep is the canonical
-    form, the orbit's first member; without fold every y is its own class.
+    The four members need not be distinct; pattern counts agree on all of
+    them, and complement maps numeral v to 2^m - 1 - v.
     """
-    classes: dict[str, list[str]] = {}
-    for v in range(1 << m):
-        y = BinarySequence.from_numeral(v, m)
-        rep = canonical_form(y) if fold else y
-        classes.setdefault(rep.to_string(), []).append(y.to_string())
-    return classes
+    y = np.asarray(ys, dtype=np.int64)
+    full = (1 << m) - 1
+    r = _bit_reverse(y, m)
+    return y, full - y, r, full - r
 
 
-def _map_classes(reps: list, n: int, threads: int, ties: bool = False):
+def _classes(m: int) -> tuple[np.ndarray, list[int]]:
+    """The symmetry classes of {0,1}^m as canon and the ordered reps.
+
+    canon[v] is the canonical form of v, the numeral-smallest member of its
+    orbit under complement and reversal; the reps are the v with
+    canon[v] == v, in ascending order.
+    """
+    y, c, r, cr = _orbit(np.arange(1 << m), m)
+    canon = np.minimum(y, c)
+    for member in (r, cr):
+        np.minimum(canon, member, out=canon)
+    return canon, np.flatnonzero(canon == y).tolist()
+
+
+def _map_classes(reps: list, m: int, n: int, threads: int, ties: bool = False):
     """Iterator over `_solve_class` results per rep, in order.
 
-    The reps, all of one length, go in chunks of at most one table batch
+    The reps, numerals of length m, go in chunks of at most one table batch
     (`split_batch`), and to up to `threads` processes at least one chunk
     each.  `_solve_class` is looked up at call time, so a wrapper installed
     on the module (a tracer, say) is what runs.
@@ -222,40 +221,40 @@ def _map_classes(reps: list, n: int, threads: int, ties: bool = False):
         raise ValueError("thread count must be >= 1")
     if not reps:
         return iter(())
-    size = min(split_batch(n, len(reps[0])), -(-len(reps) // threads))
+    size = min(split_batch(n, m), -(-len(reps) // threads))
     chunks = [reps[i : i + size] for i in range(0, len(reps), size)]
     if threads == 1 or len(chunks) < 2:
-        return itertools.chain.from_iterable(_solve_class(c, n, ties) for c in chunks)
+        return itertools.chain.from_iterable(_solve_class(c, m, n, ties) for c in chunks)
 
     def pooled():
         # imported here: multiprocessing is heavy and only pooled runs need it
         from concurrent.futures import ProcessPoolExecutor
 
+        k = len(chunks)
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            for solved in pool.map(_solve_class, chunks, [n] * len(chunks), [ties] * len(chunks)):
+            for solved in pool.map(_solve_class, chunks, [m] * k, [n] * k, [ties] * k):
                 yield from solved
 
     return pooled()
 
 
-def _solve_class(reps: list, n: int, ties: bool = False) -> list[tuple[str, int, dict]]:
-    """Solve a chunk of symmetry classes of one output length: one
-    (rep, max_count, stars) per rep text, in order.
+def _solve_class(reps: list, m: int, n: int, ties: bool = False) -> list[tuple[int, int, dict]]:
+    """Solve a chunk of symmetry classes of one output length m: one
+    (rep, max_count, stars) per rep numeral, in order.
 
     The chunk's split tables are built once; each class's counts arrive in
     blocks that are reduced to the running maximum.  With ties the blocks
     also keep the four extremes of the argmax set, the smallest and largest
-    numeral plain and bit-reversed, and stars maps every orbit member to
-    its numeral-smallest maximizer: the maximizer set of a complemented or
-    reversed output is the complemented or reversed set.  Without ties
-    stars is empty.
+    numeral plain and bit-reversed, and stars maps every orbit member's
+    numeral to the numeral of its smallest maximizer: the maximizer set of
+    a complemented or reversed output is the complemented or reversed set.
+    Without ties stars is empty.
     """
-    ys = [BinarySequence.from_string(rep) for rep in reps]
-    best = [-1] * len(ys)
+    best = [-1] * len(reps)
     # per class, as minima: smallest numeral, minus the largest, and the
     # same two for the bit-reversed numerals
-    ends: list = [None] * len(ys)
-    for first, x0, block in split_counts(ys, n):
+    ends: list = [None] * len(reps)
+    for first, x0, block in split_counts([BinarySequence(rep, m) for rep in reps], n):
         for c, row in enumerate(block, first):
             top = int(row.max())
             if top < best[c]:
@@ -266,17 +265,16 @@ def _solve_class(reps: list, n: int, ties: bool = False) -> list[tuple[str, int,
                 found = (int(arg[0]), -int(arg[-1]), int(rev.min()), -int(rev.max()))
                 ends[c] = tuple(map(min, ends[c], found)) if top == best[c] else found
             best[c] = top
+    if not ties:
+        return [(rep, top, {}) for rep, top in zip(reps, best)]
     full = (1 << n) - 1
+    members = np.stack(_orbit(reps, m), axis=1).tolist()
     out = []
-    for y, rep, top, found in zip(ys, reps, best, ends):
-        stars: dict[str, str] = {}
-        if ties:
-            low, minus_high, rev_low, minus_rev_high = found
-            # complement maps numeral v to full - v, reversing the order
-            pick = {"i": low, "c": full + minus_high, "r": rev_low, "cr": full + minus_rev_high}
-            for tag, member in _orbit_members(y):
-                stars[member.to_string()] = BinarySequence.from_numeral(pick[tag], n).to_string()
-        out.append((rep, top, stars))
+    for rep, top, orbit, (low, minus_high, rev_low, minus_rev_high) in zip(reps, best, members, ends):
+        # complement maps numeral v to full - v, reversing the order; members
+        # that coincide have the same maximizer set, so the same pick
+        picks = (low, full + minus_high, rev_low, full + minus_rev_high)
+        out.append((rep, top, dict(zip(orbit, picks))))
     return out
 
 
@@ -284,40 +282,55 @@ def _solve_class(reps: list, n: int, ties: bool = False) -> list[tuple[str, int,
 _class_max = _solve_class
 
 
-def _format_checkpoint_line(rep: str, max_count: int, stars: dict) -> str:
-    members = " ".join(f"{m}:{x}" for m, x in sorted(stars.items()))
-    return f"{rep} {max_count} {members}"
+def _format_checkpoint_line(rep: int, max_count: int, stars: dict, m: int, n: int) -> str:
+    """`rep count member:x_star ...`, members in numeral order, as text."""
+    members = " ".join(
+        f"{BinarySequence(y, m)}:{BinarySequence(x, n)}" for y, x in sorted(stars.items())
+    )
+    return f"{BinarySequence(rep, m)} {max_count} {members}"
 
 
-def _parse_checkpoint(path: str, n: int, m: int, use_canonical: bool) -> dict:
+def _parse_checkpoint(path: str, n: int, m: int) -> dict:
     """Completed classes from a checkpoint file; malformed lines are skipped.
 
-    A line counts only when it is whole: its rep is a class this table
-    solves (the canonical form of itself when folding) and its members are
-    exactly the rep's orbit, each with an n-bit maximizer.  A crash can cut
-    the last line anywhere, and a cut that drops whole members must not
-    parse as a finished class.
+    A line counts only when it is whole and right: its rep is a canonical
+    form, its members are exactly the rep's orbit, each with an n-symbol
+    0/1 maximizer, and the count is the scalar recount of every member's
+    maximizer.  A crash can cut the last line anywhere, and a cut that
+    drops whole members must not parse as a finished class.  Returns rep
+    numeral -> (max_count, stars) with stars keyed by member numeral.
     """
-    done: dict[str, tuple[int, dict]] = {}
+
+    def numeral(text: str, length: int) -> Optional[int]:
+        if len(text) != length or text.strip("01"):
+            return None
+        return int(text, 2) if text else 0
+
+    done: dict[int, tuple[int, dict]] = {}
     if not os.path.exists(path):
         return done
-    with open(path, "r", encoding="ascii") as fh:
+    # a non-ASCII byte becomes U+FFFD, which no field accepts
+    with open(path, "r", encoding="ascii", errors="replace") as fh:
         for line in fh:
             # fixed `rep count member:x ...` layout; the m = 0 rep is empty
             parts = line.rstrip("\n").split(" ")
-            if len(parts) < 3:
+            rep = numeral(parts[0], m)
+            if rep is None or len(parts) < 3 or not parts[1].isdigit():
                 continue
-            rep, count_text = parts[0], parts[1]
-            if len(rep) != m or set(rep) - {"0", "1"} or not count_text.isdigit():
+            count = int(parts[1])
+            orbit = {int(v) for v in _orbit(rep, m)}
+            stars = {}
+            for pair in parts[2:]:
+                member, _, x = pair.partition(":")
+                stars[numeral(member, m)] = numeral(x, n)
+            if rep != min(orbit) or set(stars) != orbit or None in stars.values():
                 continue
-            y = BinarySequence.from_string(rep)
-            if use_canonical and canonical_form(y) != y:
+            if any(
+                count_deletion_patterns(BinarySequence(x, n), BinarySequence(y, m)) != count
+                for y, x in stars.items()
+            ):
                 continue
-            stars = dict(pair.partition(":")[::2] for pair in parts[2:])
-            orbit = {member.to_string() for _, member in _orbit_members(y)}
-            if set(stars) != orbit or any(len(x) != n for x in stars.values()):
-                continue
-            done[rep] = (int(count_text), stars)
+            done[rep] = (count, stars)
     return done
 
 
@@ -339,64 +352,57 @@ def _open_checkpoint(path: str):
 def mdm_table(
     n: int,
     m: int,
-    use_canonical: bool = True,
     approach: DupApproach = DupApproach.ASSIGN_TO_LAST,
     threads: int = 1,
     checkpoint_path: Optional[str] = None,
 ) -> MdmTable:
     """Solve every y in {0,1}^m against inputs of length n.
 
-    One search per symmetry class when use_canonical is set (complement and
-    reversal leave pattern counts unchanged), re-expanded so the table still
-    carries one row per y, sorted by numeral.  A checkpoint file, when given,
-    records one completed class per line and lets an interrupted sweep resume
-    without changing the final table.
+    One search per symmetry class (complement and reversal leave pattern
+    counts unchanged), read back per y so the table still carries one row
+    per y, in numeral order.  A checkpoint file, when given, records one
+    completed class per line and lets an interrupted sweep resume without
+    changing the final table.
     """
     if m > n:
         raise ValueError(f"output longer than input ({m} > {n})")
     if n > SEARCH_MAX_N:
         raise CapExceededError(f"search capped at n <= {SEARCH_MAX_N}, got {n}")
-    classes = _classes(m, use_canonical)
+    canon, reps = _classes(m)
 
-    solved: dict[str, tuple[int, dict]] = {}
+    solved: dict[int, tuple[int, dict]] = {}
     if checkpoint_path:
-        solved = _parse_checkpoint(checkpoint_path, n, m, use_canonical)
-    todo = [rep for rep in classes if rep not in solved]
-    results = _map_classes(todo, n, threads, ties=True)
+        solved = _parse_checkpoint(checkpoint_path, n, m)
+    todo = [rep for rep in reps if rep not in solved]
+    results = _map_classes(todo, m, n, threads, ties=True)
 
     checkpoint_fh = _open_checkpoint(checkpoint_path) if checkpoint_path else None
-
-    def record(rep: str, max_count: int, stars: dict) -> None:
-        solved[rep] = (max_count, stars)
-        if checkpoint_fh:
-            checkpoint_fh.write(_format_checkpoint_line(rep, max_count, stars) + "\n")
-            checkpoint_fh.flush()
-
     try:
-        for result in results:
-            record(*result)
+        for rep, max_count, stars in results:
+            solved[rep] = (max_count, stars)
+            if checkpoint_fh:
+                checkpoint_fh.write(_format_checkpoint_line(rep, max_count, stars, m, n) + "\n")
+                checkpoint_fh.flush()
     finally:
         if checkpoint_fh:
             checkpoint_fh.close()
 
     rows = []
-    for rep, members in classes.items():
+    for v, rep in enumerate(canon.tolist()):
         max_count, stars = solved[rep]
-        for text in members:
-            y = BinarySequence.from_string(text)
-            x_dup, dup_count = _dup_estimate(y, n, approach)
-            rows.append(
-                MdmResult(
-                    y=y,
-                    n=n,
-                    x_star=BinarySequence.from_string(stars[text]),
-                    max_count=max_count,
-                    x_dup=x_dup,
-                    dup_count=dup_count,
-                    ratio=dup_count / max_count,
-                )
+        y = BinarySequence(v, m)
+        x_dup, dup_count = _dup_estimate(y, n, approach)
+        rows.append(
+            MdmResult(
+                y=y,
+                n=n,
+                x_star=BinarySequence(stars[v], n),
+                max_count=max_count,
+                x_dup=x_dup,
+                dup_count=dup_count,
+                ratio=dup_count / max_count,
             )
-    rows.sort(key=lambda row: row.y.numeral())
+        )
     return MdmTable(n=n, m=m, rows=rows)
 
 
@@ -410,9 +416,9 @@ def sum_max_counts(n: int, m: int, threads: int = 1) -> int:
         raise ValueError(f"output longer than input ({m} > {n})")
     if n > SEARCH_MAX_N:
         raise CapExceededError(f"search capped at n <= {SEARCH_MAX_N}, got {n}")
-    classes = _classes(m, fold=True)
-    maxima = _map_classes(list(classes), n, threads)
-    return sum(len(classes[rep]) * max_count for rep, max_count, _ in maxima)
+    canon, reps = _classes(m)
+    sizes = np.bincount(canon).tolist()
+    return sum(sizes[rep] * max_count for rep, max_count, _ in _map_classes(reps, m, n, threads))
 
 
 def duplication_ratio(y: BinarySequence, n: int) -> Fraction:
@@ -420,7 +426,7 @@ def duplication_ratio(y: BinarySequence, n: int) -> Fraction:
     m = len(y)
     if m == 0 or n % m:
         raise ValueError("repeat factor n/len(y) must be a positive integer")
-    [(_, max_count, _)] = _solve_class([y.to_string()], n)
+    [(_, max_count, _)] = _solve_class([y.bits], m, n)
     return Fraction(dup_count_formula(y, n // m), max_count)
 
 
@@ -435,12 +441,12 @@ def min_duplication_ratio(n: int, F: int) -> tuple[BinarySequence, float]:
         raise ValueError(f"need n >= 1 and a factor F >= 1 dividing it, got n = {n}, F = {F}")
     if n > SEARCH_MAX_N:
         raise CapExceededError(f"search capped at n <= {SEARCH_MAX_N}, got {n}")
-    # equal-length texts compare like their numerals
+    m = n // F
     gamma, rep = min(
-        (Fraction(dup_count_formula(BinarySequence.from_string(rep), F), max_count), rep)
-        for rep, max_count, _ in _map_classes(list(_classes(n // F, fold=True)), n, 1)
+        (Fraction(dup_count_formula(BinarySequence(rep, m), F), max_count), rep)
+        for rep, max_count, _ in _map_classes(_classes(m)[1], m, n, 1)
     )
-    return BinarySequence.from_string(rep), float(gamma)
+    return BinarySequence(rep, m), float(gamma)
 
 
 def flip_sequence(m: int) -> BinarySequence:

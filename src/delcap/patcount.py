@@ -79,18 +79,6 @@ def count_deletion_patterns_oracle(x: BinarySequence, y: BinarySequence) -> int:
     return count
 
 
-def transition_probability(x: BinarySequence, y: BinarySequence, d: float) -> float:
-    """W(y|x) for an i.i.d. deletion channel: #(x,y) * (1-d)^len(y) * d^(len(x)-len(y))."""
-    if not 0.0 <= d <= 1.0:
-        raise ValueError(f"deletion probability {d} outside [0, 1]")
-    n, m = len(x), len(y)
-    if m > n:
-        raise ValueError(f"output longer than input ({m} > {n})")
-    return count_deletion_patterns(x, y) * (1.0 - d) ** m * d ** (n - m)
-
-
-
-
 def _walk(sym: np.ndarray, length: int, rows: int, append: bool) -> np.ndarray:
     """T[w, c, k] = #(x, y_c[:k]) for every length-symbol input x and k < rows.
 

@@ -20,6 +20,10 @@ slow references the new paths must agree with:
   two matrix-vector products of `delcap.baa._input_divergences` replaced
   (to rounding).
 
+The last section holds small formulas that nothing in the library calls,
+kept with the tests that pin them: `transition_probability`, `mu_d`,
+`expected_runs` and `expected_runs_exact`.
+
 Index conventions match the library: an integer index read big-endian is
 the sequence text, i.e. symbol j of index v is bit (n-1-j) of v.
 """
@@ -31,7 +35,7 @@ import math
 
 import numpy as np
 
-from delcap import BinarySequence, CapExceededError
+from delcap import BinarySequence, CapExceededError, count_deletion_patterns, run_length_profile
 from delcap.patcount import VECTOR_MAX_N
 
 
@@ -296,3 +300,48 @@ def direct_input_divergences(w, p: np.ndarray) -> np.ndarray:
     np.copyto(contrib, 0.0, where=w.w <= 0.0)
     D = contrib.sum(axis=1)
     return np.where(p > 0.0, D, 0.0)
+
+
+def transition_probability(x: BinarySequence, y: BinarySequence, d: float) -> float:
+    """W(y|x) for an i.i.d. deletion channel: #(x,y) * (1-d)^len(y) * d^(len(x)-len(y))."""
+    if not 0.0 <= d <= 1.0:
+        raise ValueError(f"deletion probability {d} outside [0, 1]")
+    n, m = len(x), len(y)
+    if m > n:
+        raise ValueError(f"output longer than input ({m} > {n})")
+    return count_deletion_patterns(x, y) * (1.0 - d) ** m * d ** (n - m)
+
+
+def mu_d(y: BinarySequence, d: float) -> float:
+    """(1/2) sum_l R_l ln((2 pi / e)^2 * d * l) over the run profile of y."""
+    if not 0.0 < d < 1.0:
+        raise ValueError(f"parameter {d} outside (0, 1)")
+    total = 0.0
+    for l, r in run_length_profile(y).counts.items():
+        total += r * math.log((2.0 * math.pi / math.e) ** 2 * d * l)
+    return 0.5 * total
+
+
+def expected_runs(m: int, ell: int) -> float:
+    """Mean number of ell-runs in a uniform length-m sequence: m / 2^(ell+1).
+
+    This is the infinite-sequence rate; see expected_runs_exact for the
+    boundary-corrected value.
+    """
+    if not 1 <= ell <= m:
+        raise ValueError(f"run length {ell} outside [1, {m}]")
+    return m / 2 ** (ell + 1)
+
+
+def expected_runs_exact(m: int, ell: int) -> float:
+    """Exact mean number of ell-runs in a uniform length-m sequence.
+
+    Maximal runs at the two boundaries are half as constrained as interior
+    ones, which lifts the rate to (m - ell + 3) / 2^(ell+1) for ell < m; the
+    two constant sequences give 2^(1-m) at ell = m.
+    """
+    if not 1 <= ell <= m:
+        raise ValueError(f"run length {ell} outside [1, {m}]")
+    if ell == m:
+        return 2.0 ** (1 - m)
+    return (m - ell + 3) / 2 ** (ell + 1)

@@ -16,11 +16,7 @@ from delcap import (
     bec_finite_n_check,
     bsc_bound,
     bsc_finite_n_check,
-    expected_runs,
-    expected_runs_exact,
     explicit_approx,
-    mdm_table,
-    mu_d,
     psi,
     reference_golden_bound,
     runs,
@@ -28,6 +24,7 @@ from delcap import (
 )
 from delcap.bounds import _dup_sum_assign_by_length
 from delcap.mdm import _dup_estimate
+from oracle_utils import expected_runs, expected_runs_exact, mu_d
 from oracle_utils import partition_dup_sum_assign_by_length
 
 # (m, base, extra, exact assign-by-length sum) at n = 63, computed once with
@@ -85,13 +82,6 @@ def test_raw_bound_can_exceed_one():
     raw, adjusted = bdc_ml_bound_n(8, 0.5)
     assert raw > 1.0
     assert adjusted < 1.0
-
-
-def test_ml_bound_table_reuse():
-    table = mdm_table(8, 4)
-    assert bdc_ml_bound_n(8, 0.5, table=table) == bdc_ml_bound_n(8, 0.5)
-    with pytest.raises(ValueError):
-        bdc_ml_bound_n(8, 0.2, table=table)
 
 
 def _direct_dup_sum_bound(n, d, approach):

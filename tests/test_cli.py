@@ -65,6 +65,12 @@ def test_table_csv_golden(tmp_path):
     assert out2.read_bytes() == data
 
 
+def test_table_no_canonical_flag_is_gone(tmp_path):
+    out = tmp_path / "t.csv"
+    assert run(["mdm-table", "--n", "8", "--m", "4", "--no-canonical", "--output", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_table_gamma_rows_have_empty_x_dup(tmp_path):
     out = tmp_path / "g.csv"
     assert run(["mdm-table", "--n", "7", "--m", "3", "--approach", "gamma", "--output", str(out)]) == 0

@@ -1,16 +1,18 @@
 """Tests for the exhaustive search and the duplication heuristics."""
 
+import functools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delcap import (
     BinarySequence,
     CapExceededError,
     DupApproach,
-    all_sequences,
     approximate_dup_sequence,
     build_dup_sequence,
     canonical_form,
@@ -25,7 +27,7 @@ from delcap import (
     sum_max_counts,
 )
 from delcap import patcount
-from delcap.mdm import _parse_checkpoint, _solve_class
+from delcap.mdm import _classes, _format_checkpoint_line, _parse_checkpoint, _solve_class
 from oracle_utils import prefix_walk_counts, walk_table
 
 # frozen by two independent routes: the vectorized sweep and per-pair
@@ -78,12 +80,12 @@ def test_x_star_is_smallest_numeral_argmax():
         n = rng.randint(2, 11)
         m = rng.randint(1, n)
         y = BinarySequence.from_numeral(rng.getrandbits(m), m)
-        [(_, max_count, stars)] = _solve_class([y.to_string()], n, ties=True)
-        assert y.to_string() in stars
+        [(_, max_count, stars)] = _solve_class([y.bits], m, n, ties=True)
+        assert y.bits in stars
         for member, x_star in stars.items():
-            counts = prefix_walk_counts(_seq(member), n)
+            counts = prefix_walk_counts(BinarySequence(member, m), n)
             assert max_count == counts.max()
-            assert _seq(x_star).numeral() == int(counts.argmax())
+            assert x_star == int(counts.argmax())
 
 
 def test_dup_count_formula_and_sequence():
@@ -160,12 +162,17 @@ def test_gamma_approach_integer_stretch_is_exact():
         assert ra.dup_count == rb.dup_count
 
 
-def test_table_canonical_matches_full_enumeration():
-    full = mdm_table(9, 4, use_canonical=False)
-    folded = mdm_table(9, 4, use_canonical=True)
-    assert [(r.y, r.x_star, r.max_count, r.dup_count) for r in full.rows] == [
-        (r.y, r.x_star, r.max_count, r.dup_count) for r in folded.rows
-    ]
+@functools.lru_cache(maxsize=None)
+def _canon(m):
+    return _classes(m)[0]
+
+
+# no deadline: the first draw of each m builds that m's whole sweep
+@settings(deadline=None)
+@given(st.integers(0, 20).flatmap(lambda m: st.tuples(st.just(m), st.integers(0, (1 << m) - 1))))
+def test_class_sweep_matches_canonical_form(case):
+    m, v = case
+    assert _canon(m)[v] == canonical_form(BinarySequence(v, m)).bits
 
 
 def test_table_threads_equivalence():
@@ -215,7 +222,7 @@ def test_checkpoint_resume_after_truncation_at_every_byte(tmp_path):
     reference = mdm_table(8, 4, checkpoint_path=str(path))
     full = path.read_bytes()
     lines = full.decode("ascii").splitlines()
-    finished = _parse_checkpoint(str(path), 8, 4, use_canonical=True)
+    finished = _parse_checkpoint(str(path), 8, 4)
     assert len(finished) == len(lines)
     for cut in range(len(full)):
         path.write_bytes(full[:cut])
@@ -228,24 +235,34 @@ def test_checkpoint_resume_after_truncation_at_every_byte(tmp_path):
         fragments = [line for line in text.splitlines() if line not in lines]
         assert len(fragments) <= 1, cut
         assert all(any(line.startswith(f) for line in lines) for f in fragments), cut
-        assert _parse_checkpoint(str(path), 8, 4, use_canonical=True) == finished, cut
+        assert _parse_checkpoint(str(path), 8, 4) == finished, cut
 
 
 def test_checkpoint_rejects_non_canonical_rep_when_folding(tmp_path):
+    # one line per y, every y solved as if it were its own class
+    unfolded = _solve_class(list(range(16)), 4, 8, ties=True)
     path = tmp_path / "progress.ckpt"
-    mdm_table(8, 4, use_canonical=False, checkpoint_path=str(path))
-    unfolded = _parse_checkpoint(str(path), 8, 4, use_canonical=False)
-    folded = _parse_checkpoint(str(path), 8, 4, use_canonical=True)
-    reps = {canonical_form(y).to_string() for y in all_sequences(4)}
-    assert len(unfolded) == 16
-    assert folded == {rep: unfolded[rep] for rep in reps}
+    path.write_text("".join(_format_checkpoint_line(*solved, 4, 8) + "\n" for solved in unfolded))
+    reps = _classes(4)[1]
+    assert _parse_checkpoint(str(path), 8, 4) == {
+        rep: (top, stars) for rep, top, stars in unfolded if rep in reps
+    }
 
 
 def test_checkpoint_ignores_malformed_lines(tmp_path):
     path = tmp_path / "progress.ckpt"
-    path.write_text("not a checkpoint line\n\n0101 999\n")
+    path.write_bytes(
+        b"not a checkpoint line\n\n0101 999\n"
+        # a maximizer with a non-binary symbol, then with a non-ASCII byte
+        b"0101 16 0101:0010101a 1010:11001100\n"
+        b"0101 16 0101:0010101\xff 1010:11001100\n"
+        # a count one above its maximizers' recount
+        b"0110 25 0110:00111100 1001:11000011\n"
+    )
+    assert _parse_checkpoint(str(path), 8, 4) == {}
     table = mdm_table(8, 4, checkpoint_path=str(path))
     for row in table.rows:
+        assert count_deletion_patterns(row.x_star, row.y) == row.max_count
         assert row.max_count == SMALL_TABLE[
             min(
                 row.y.to_string(),
@@ -254,6 +271,31 @@ def test_checkpoint_ignores_malformed_lines(tmp_path):
                 row.y.to_string().translate(str.maketrans("01", "10"))[::-1],
             )
         ]
+
+
+# an (n, m) = (8, 4) checkpoint as earlier versions, which keyed classes by
+# text, wrote it; such files must keep resuming to the same table and bytes
+PARENT_CHECKPOINT_8_4 = (
+    "0000 70 0000:00000000 1111:11111111\n"
+    "0001 40 0001:00000011 0111:00111111 1000:11000000 1110:11111100\n"
+    "0010 24 0010:00001100 0100:00110000 1011:11001111 1101:11110011\n"
+    "0011 36 0011:00001111 1100:11110000\n"
+    "0101 16 0101:00101011 1010:11001100\n"
+    "0110 24 0110:00111100 1001:11000011\n"
+)
+
+
+def test_frozen_checkpoint_resumes_to_same_table_and_bytes(tmp_path):
+    path = tmp_path / "progress.ckpt"
+    lines = PARENT_CHECKPOINT_8_4.splitlines(keepends=True)
+    path.write_text("".join(lines[:3]))
+    assert sorted(_parse_checkpoint(str(path), 8, 4)) == [0, 1, 2]
+    resumed = mdm_table(8, 4, checkpoint_path=str(path))
+    assert resumed.rows == mdm_table(8, 4).rows
+    assert path.read_text() == PARENT_CHECKPOINT_8_4
+    # the m = 0 line has an empty rep and member
+    path.write_text(" 1 :000000000\n")
+    assert _parse_checkpoint(str(path), 9, 0) == {0: (1, {0: 0})}
 
 
 def test_duplication_ratio_exact_fraction():

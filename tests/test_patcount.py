@@ -16,7 +16,6 @@ from delcap import (
     count_deletion_patterns_oracle,
     counts_for_all_inputs,
     reverse,
-    transition_probability,
 )
 from delcap import patcount
 from oracle_utils import (
@@ -25,6 +24,7 @@ from oracle_utils import (
     oracle_counts_grid,
     oracle_counts_pairs,
     oracle_counts_pairs_split,
+    transition_probability,
 )
 
 
