@@ -45,9 +45,8 @@ from .mdm import (
     DupApproach,
     MdmResult,
     MdmTable,
-    approximate_dup_sequence,
-    build_dup_sequence,
-    dup_count_formula,
+    dup_estimate,
+    dup_sum,
     duplication_ratio,
     flip_sequence,
     is_alternating,
@@ -76,7 +75,6 @@ __all__ = [
     "PSI_CONSTANT",
     "RunLengthProfile",
     "all_sequences",
-    "approximate_dup_sequence",
     "baa_capacity",
     "baa_iterate",
     "bdc_dup_bound_n",
@@ -86,14 +84,14 @@ __all__ = [
     "bsc_bound",
     "bsc_finite_n_check",
     "build_channel_matrix",
-    "build_dup_sequence",
     "canonical_form",
     "complement",
     "count_deletion_patterns",
     "count_deletion_patterns_oracle",
     "counts_for_all_inputs",
     "dobrushin_sandwich",
-    "dup_count_formula",
+    "dup_estimate",
+    "dup_sum",
     "duplication_ratio",
     "explicit_approx",
     "flip_sequence",

@@ -75,7 +75,9 @@ def build_channel_matrix(n: int, d: float) -> ChannelMatrix:
     ln 1 = 0 where w = 0, so every h_j is the same left-to-right sum at any
     block size.
     """
-    if not 1 <= n <= BAA_MAX_N:
+    if n < 1:
+        raise ValueError(f"block length {n} must be >= 1")
+    if n > BAA_MAX_N:
         raise CapExceededError(f"dense matrix capped at n <= {BAA_MAX_N}, got {n}")
     if not 0.0 < d < 1.0:
         raise ValueError(f"deletion probability {d} outside (0, 1)")

@@ -1,18 +1,20 @@
 """Capacity bound evaluators.
 
 Closed forms for the erasure and flip channels, the finite-n
-maximum-likelihood bound for the deletion channel (exact search or
-duplication estimates), the explicit closed-form approximation built from
-run-length statistics, and the golden-ratio reference curve.  Bound values
-are bits per symbol throughout; pattern counts stay exact integers until the
-final log.
+maximum-likelihood bound for the deletion channel, the explicit
+closed-form approximation built from run-length statistics, and the
+golden-ratio reference curve.  The deletion bound takes the log of a sum
+over all outputs that `mdm` computes: of the exact maxima
+(`mdm.sum_max_counts`) or of the duplication estimates (`mdm.dup_sum`).
+Bound values are bits per symbol throughout; pattern counts stay exact
+integers until the final log, except for the Gamma estimate.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from .mdm import DupApproach, sum_max_counts
+from .mdm import DupApproach, dup_sum, sum_max_counts
 
 # ceil(n * p) snaps to the nearest integer within this slack so that
 # grid-aligned products like 10 * 0.3 do not ceil one step too far.
@@ -83,6 +85,8 @@ def bsc_finite_n_check(n: int, p: float) -> float:
 
 def typical_output_length(n: int, d: float) -> int:
     """m = ceil(n * (1 - d)); raises when every bit is typically deleted."""
+    if n < 1:
+        raise ValueError(f"block length {n} must be >= 1")
     _check_open_unit(d)
     m = _ceil_snap(n * (1.0 - d))
     if m <= 0:
@@ -107,62 +111,6 @@ def bdc_ml_bound_n(n: int, d: float, threads: int = 1) -> tuple[float, float]:
     return raw, adjusted
 
 
-def _dup_sum(m: int, extra: int, weight):
-    """sum over y in {0,1}^m of the product over the runs of y of weight(l, e).
-
-    e is the number of the `extra` leftover bits handed to an l-run, trailing
-    runs first.  Peeling runs from the end keeps the handout deterministic:
-    the final run takes e = min(left, l), so the state is (remaining length,
-    leftover bits) and g(t, r) = sum_l weight(l, e) g(t-l, r-e); the factor
-    2 counts the starting bit, after which run values are forced.  A
-    blown-up run of length l*base + e matches its l-run in C(l*base + e, l)
-    ways, so with that weight the product over runs is the pattern count of
-    the assembled candidate; the Gamma estimate passes extra = 0 and the
-    Gamma generalization of C(l*F, l).
-    """
-    h = [[0] * (extra + 1) for _ in range(m + 1)]
-    h[0][0] = 1
-    for t in range(1, m + 1):
-        for r in range(extra + 1):
-            acc = 0
-            for l in range(1, t + 1):
-                e = min(r, l)
-                acc += weight(l, e) * h[t - l][r - e]
-            h[t][r] = acc
-    return 2 * h[m][extra]
-
-
-def _dup_sum_assign_by_length(m: int, base: int, extra: int):
-    """Longest-runs assignment summed over all y, exactly.
-
-    The handout depends only on the sorted run lengths, so a DP takes the
-    run lengths l = m, m-1, ..., 1 in turn and decides how many parts a of
-    length l the run multiset has.  Extras go to the longest runs first, so
-    once the parts chosen so far cover s = m - t bits of y the leftover is
-    max(0, extra - s): it is implied by t and is not part of the state.
-    The state is (t remaining, k parts so far); each added l-part multiplies
-    the weight by C(l*base + e, l) with e = min(left, l), and adding a parts
-    to k multiplies the orderings by C(k+a, a), whose product over lengths
-    is k!/prod(a_l!).  Updating in place with t ascending is safe: a step
-    only writes to smaller t, already read this round.
-    """
-    g = [[0] * (m + 1) for _ in range(m + 1)]
-    g[m][0] = 1
-    for l in range(m, 0, -1):
-        for t in range(l, m + 1):
-            for k in range(m - t + 1):
-                acc = g[t][k]
-                if not acc:
-                    continue
-                left = max(0, extra - (m - t))
-                for a in range(1, t // l + 1):
-                    e = min(left, l)
-                    left -= e
-                    acc *= math.comb(l * base + e, l)
-                    g[t - a * l][k + a] += acc * math.comb(k + a, a)
-    return 2 * sum(g[0])
-
-
 def bdc_dup_bound_n(
     n: int, d: float, approach: DupApproach = DupApproach.GAMMA
 ) -> float:
@@ -174,22 +122,7 @@ def bdc_dup_bound_n(
     """
     if not 1 <= n <= DUP_BOUND_MAX_N:
         raise ValueError(f"block length {n} outside [1, {DUP_BOUND_MAX_N}]")
-    m = typical_output_length(n, d)
-    base, extra = divmod(n, m)
-    if extra and approach is DupApproach.GAMMA:
-        F = n / m
-        total = _dup_sum(
-            m,
-            0,
-            lambda l, _: math.exp(
-                math.lgamma(l * F + 1) - math.lgamma(l + 1) - math.lgamma(l * F - l + 1)
-            ),
-        )
-    elif extra and approach is DupApproach.ASSIGN_BY_LENGTH:
-        total = _dup_sum_assign_by_length(m, base, extra)
-    else:
-        total = _dup_sum(m, extra, lambda l, e: math.comb(l * base + e, l))
-    return math.log2(total) / n
+    return math.log2(dup_sum(n, typical_output_length(n, d), approach)) / n
 
 
 def _psi_constant() -> float:

@@ -8,16 +8,17 @@ and reversal, so one sweep over all y in {0,1}^m maps each y's numeral to
 its orbit's smallest numeral, the class rep, and only reps are solved.
 Outputs, reps and maximizers stay numerals throughout; they become text
 only in checkpoint lines.
-The duplication estimate replaces the true maximizer with the candidate
-that repeats every bit of y the same number of times; its count has the
-closed product form prod_l C(l*F, l)^(R_l) over the run-length profile of
-y.  The ratio of the two is at most 1 because the duplication candidate is
-feasible.
-
-When len(y) does not divide n the repeat factor is fractional and three
-estimates are offered: hand the leftover bits to the trailing runs, hand
-them to the longest runs, or drop the integrality requirement altogether by
-moving to Gamma functions.
+The duplication estimate replaces the true maximizer with a candidate
+that stretches every run of y: `dup_estimate` builds it as a numeral and
+takes its count as a product of one weight per run, exact because each run
+of y can only embed in its own stretched run.  Its ratio to the true
+maximum is at most 1 because the candidate is feasible.  When len(y) does
+not divide n the stretch is fractional and three estimates are offered:
+hand the leftover bits to the trailing runs, hand them to the longest
+runs, or drop the integrality requirement altogether by moving to Gamma
+functions.
+`dup_sum` sums the estimate over all y of one length by a recurrence over
+runs, which is what the duplication bound of `bounds` takes the log of.
 """
 
 from __future__ import annotations
@@ -76,64 +77,53 @@ class MdmTable:
     rows: list
 
 
-def dup_count_formula(y: BinarySequence, F: int) -> int:
-    """prod_l C(l*F, l)^(R_l) over the run-length profile of y.
+def _run_weight(n: int, m: int, approach: DupApproach):
+    """w(l, e): the ways an l-run of y embeds in its stretched run.
 
-    Equals #(x_dup, y) for the candidate that repeats each bit F times.
+    The stretched run has l*base + e bits, base = n // m and e of the
+    leftover bits, so w = C(l*base + e, l).  Candidate and y have equally
+    many runs, so the i-th run of y can only land in the i-th stretched run
+    and a candidate's count is the product of w over the runs of y.  The
+    Gamma estimate of a fractional F = n / m generalizes C(l*F, l) to
+    Gamma(l*F+1) / (Gamma(l+1) Gamma(l*F-l+1)) and ignores e.
     """
-    if F < 1:
-        raise ValueError(f"repeat factor must be >= 1, got {F}")
-    profile = run_length_profile(y)
-    out = 1
-    for l, r in profile.counts.items():
-        out *= math.comb(l * F, l) ** r
-    return out
+    base, extra = divmod(n, m)
+    if extra and approach is DupApproach.GAMMA:
+        F = n / m
+        return lambda l, _e: math.exp(
+            math.lgamma(l * F + 1) - math.lgamma(l + 1) - math.lgamma(l * F - l + 1)
+        )
+    return lambda l, e: math.comb(l * base + e, l)
 
 
-def build_dup_sequence(y: BinarySequence, F: int) -> BinarySequence:
-    """Each bit of y repeated F times, in order."""
-    if F < 1:
-        raise ValueError(f"repeat factor must be >= 1, got {F}")
-    if F * len(y) > MAX_LEN:
-        raise CapExceededError(f"duplicated length {F * len(y)} exceeds {MAX_LEN}")
-    text = "".join(str(b) * F for b in y)
-    return BinarySequence.from_string(text)
+def dup_estimate(
+    y: BinarySequence, n: int, approach: DupApproach = DupApproach.ASSIGN_TO_LAST
+) -> tuple[Optional[BinarySequence], Union[int, float]]:
+    """The duplication candidate x_dup of y at input length n, and its count.
 
-
-def approximate_dup_sequence(
-    y: BinarySequence, n: int, approach: DupApproach
-) -> Union[BinarySequence, float]:
-    """Duplication candidate for a fractional repeat factor F = n / len(y).
-
-    The two assignment approaches first repeat every bit floor(F) times and
-    then hand the n - m*floor(F) leftover bits to whole runs, at most l extra
-    bits to an l-run (so each run absorbs at most one extra copy per original
-    bit).  ASSIGN_TO_LAST walks the runs from the last one backwards;
+    Every l-run of y becomes a run of l * (n // len(y)) bits, and the
+    n % len(y) leftover bits go to whole runs, at most l to an l-run (so
+    each run absorbs at most one extra copy per original bit).
+    ASSIGN_TO_LAST walks the runs from the last one backwards;
     ASSIGN_BY_LENGTH walks them longest first, ties broken by earlier
-    position.  Both return a concrete length-n sequence.
-
-    GAMMA instead returns the real-valued product with each binomial
-    C(l*F, l) generalized to Gamma(l*F+1) / (Gamma(l+1) * Gamma(l*F-l+1)).
+    position.  The count is exactly #(x_dup, y), the product of the run
+    weights.  GAMMA with a fractional factor builds no candidate: x_dup is
+    None and the count is the real-valued product of the Gamma weights.
+    With an integer factor every approach repeats each bit n / len(y) times.
     """
     m = len(y)
-    if m == 0:
-        raise ValueError("cannot stretch an empty sequence")
     if m > n:
         raise ValueError(f"output longer than input ({m} > {n})")
     if n > MAX_LEN:
         raise CapExceededError(f"input length {n} exceeds {MAX_LEN}")
-    if approach is DupApproach.GAMMA:
-        F = n / m
-        log_est = 0.0
-        for l, r in run_length_profile(y).counts.items():
-            log_est += r * (
-                math.lgamma(l * F + 1)
-                - math.lgamma(l + 1)
-                - math.lgamma(l * F - l + 1)
-            )
-        return math.exp(log_est)
+    if m == 0:
+        # only the all-deleting pattern; the candidate slot still needs length n
+        return BinarySequence(0, n), 1
     base, extra = divmod(n, m)
+    weight = _run_weight(n, m, approach)
     run_list = runs(y)
+    if extra and approach is DupApproach.GAMMA:
+        return None, math.prod(weight(l, 0) for _, l in run_list)
     if approach is DupApproach.ASSIGN_TO_LAST:
         order = range(len(run_list) - 1, -1, -1)
     else:
@@ -141,31 +131,87 @@ def approximate_dup_sequence(
     bonus = [0] * len(run_list)
     left = extra
     for j in order:
-        if left == 0:
-            break
-        take = min(left, run_list[j][1])
-        bonus[j] = take
-        left -= take
+        bonus[j] = min(left, run_list[j][1])
+        left -= bonus[j]
     # extra < m = sum of run lengths, so the leftover always fits
-    text = "".join(str(v) * (l * base + bonus[j]) for j, (v, l) in enumerate(run_list))
-    return BinarySequence.from_string(text)
+    x, count = 0, 1
+    for (v, l), e in zip(run_list, bonus):
+        stretch = l * base + e
+        x = (x << stretch) | ((1 << stretch) - 1 if v else 0)
+        count *= weight(l, e)
+    return BinarySequence(x, n), count
 
 
-def _dup_estimate(
-    y: BinarySequence, n: int, approach: DupApproach
-) -> tuple[Optional[BinarySequence], Union[int, float]]:
-    """Duplication candidate and its count for integer or fractional factor."""
-    m = len(y)
-    if m == 0:
-        # only the all-deleting pattern; the candidate slot still needs length n
-        return BinarySequence(0, n), 1
-    if n % m == 0:
-        F = n // m
-        return build_dup_sequence(y, F), dup_count_formula(y, F)
+def dup_sum(n: int, m: int, approach: DupApproach) -> Union[int, float]:
+    """The `dup_estimate` count summed over all y in {0,1}^m, by recurrence.
+
+    Two recurrences, because the two handouts depend on different things:
+    assign-to-last on the order of the runs, assign-by-length only on the
+    sorted multiset of their lengths.  Integer factors and the Gamma
+    estimate hand out nothing and take the first.
+    """
+    if not 1 <= m <= n:
+        raise ValueError(f"output length {m} outside [1, {n}]")
+    base, extra = divmod(n, m)
+    if extra and approach is DupApproach.ASSIGN_BY_LENGTH:
+        return _dup_sum_assign_by_length(m, base, extra)
     if approach is DupApproach.GAMMA:
-        return None, approximate_dup_sequence(y, n, approach)
-    x = approximate_dup_sequence(y, n, approach)
-    return x, count_deletion_patterns(x, y)
+        extra = 0
+    return _dup_sum_assign_to_last(m, extra, _run_weight(n, m, approach))
+
+
+def _dup_sum_assign_to_last(m: int, extra: int, weight):
+    """sum over y in {0,1}^m of the product over the runs of y of weight(l, e).
+
+    e is the number of the `extra` leftover bits handed to an l-run, trailing
+    runs first.  Peeling runs from the end keeps the handout deterministic:
+    the final run takes e = min(left, l), so the state is (remaining length,
+    leftover bits) and g(t, r) = sum_l weight(l, e) g(t-l, r-e); the factor
+    2 counts the starting bit, after which run values are forced.
+    """
+    h = [[0] * (extra + 1) for _ in range(m + 1)]
+    h[0][0] = 1
+    for t in range(1, m + 1):
+        for r in range(extra + 1):
+            acc = 0
+            for l in range(1, t + 1):
+                e = min(r, l)
+                acc += weight(l, e) * h[t - l][r - e]
+            h[t][r] = acc
+    return 2 * h[m][extra]
+
+
+def _dup_sum_assign_by_length(m: int, base: int, extra: int):
+    """Longest-runs assignment summed over all y, exactly.
+
+    The handout depends only on the sorted run lengths, so a DP takes the
+    run lengths l = m, m-1, ..., 1 in turn and decides how many parts a of
+    length l the run multiset has.  Extras go to the longest runs first, so
+    once the parts chosen so far cover s = m - t bits of y the leftover is
+    max(0, extra - s): it is implied by t and is not part of the state.
+    The state is (t remaining, k parts so far); each added l-part multiplies
+    the weight by the run weight C(l*base + e, l) with e = min(left, l)
+    (written out: this DP only ever uses the binomial weight, and a call per
+    part slows its innermost loop), and adding a parts to k multiplies the
+    orderings by C(k+a, a), whose product over lengths is k!/prod(a_l!).
+    Updating in place with t ascending is safe: a step only writes to
+    smaller t, already read this round.
+    """
+    g = [[0] * (m + 1) for _ in range(m + 1)]
+    g[m][0] = 1
+    for l in range(m, 0, -1):
+        for t in range(l, m + 1):
+            for k in range(m - t + 1):
+                acc = g[t][k]
+                if not acc:
+                    continue
+                left = max(0, extra - (m - t))
+                for a in range(1, t // l + 1):
+                    e = min(left, l)
+                    left -= e
+                    acc *= math.comb(l * base + e, l)
+                    g[t - a * l][k + a] += acc * math.comb(k + a, a)
+    return 2 * sum(g[0])
 
 
 # every byte value with its 8 bits in reverse order, built from Python ints:
@@ -349,6 +395,14 @@ def _open_checkpoint(path: str):
     return fh
 
 
+def _check_search(n: int, m: int) -> None:
+    """Reject an output length outside [0, n] and a search past the cap."""
+    if not 0 <= m <= n:
+        raise ValueError(f"output length {m} outside [0, {n}]")
+    if n > SEARCH_MAX_N:
+        raise CapExceededError(f"search capped at n <= {SEARCH_MAX_N}, got {n}")
+
+
 def mdm_table(
     n: int,
     m: int,
@@ -364,10 +418,7 @@ def mdm_table(
     completed class per line and lets an interrupted sweep resume without
     changing the final table.
     """
-    if m > n:
-        raise ValueError(f"output longer than input ({m} > {n})")
-    if n > SEARCH_MAX_N:
-        raise CapExceededError(f"search capped at n <= {SEARCH_MAX_N}, got {n}")
+    _check_search(n, m)
     canon, reps = _classes(m)
 
     solved: dict[int, tuple[int, dict]] = {}
@@ -391,7 +442,7 @@ def mdm_table(
     for v, rep in enumerate(canon.tolist()):
         max_count, stars = solved[rep]
         y = BinarySequence(v, m)
-        x_dup, dup_count = _dup_estimate(y, n, approach)
+        x_dup, dup_count = dup_estimate(y, n, approach)
         rows.append(
             MdmResult(
                 y=y,
@@ -412,10 +463,7 @@ def sum_max_counts(n: int, m: int, threads: int = 1) -> int:
     This is the log argument of the maximum-likelihood capacity bound; only
     class maxima are searched, weighted by orbit size.
     """
-    if m > n:
-        raise ValueError(f"output longer than input ({m} > {n})")
-    if n > SEARCH_MAX_N:
-        raise CapExceededError(f"search capped at n <= {SEARCH_MAX_N}, got {n}")
+    _check_search(n, m)
     canon, reps = _classes(m)
     sizes = np.bincount(canon).tolist()
     return sum(sizes[rep] * max_count for rep, max_count, _ in _map_classes(reps, m, n, threads))
@@ -427,7 +475,7 @@ def duplication_ratio(y: BinarySequence, n: int) -> Fraction:
     if m == 0 or n % m:
         raise ValueError("repeat factor n/len(y) must be a positive integer")
     [(_, max_count, _)] = _solve_class([y.bits], m, n)
-    return Fraction(dup_count_formula(y, n // m), max_count)
+    return Fraction(dup_estimate(y, n)[1], max_count)
 
 
 def min_duplication_ratio(n: int, F: int) -> tuple[BinarySequence, float]:
@@ -439,11 +487,10 @@ def min_duplication_ratio(n: int, F: int) -> tuple[BinarySequence, float]:
     """
     if F < 1 or n < 1 or n % F:
         raise ValueError(f"need n >= 1 and a factor F >= 1 dividing it, got n = {n}, F = {F}")
-    if n > SEARCH_MAX_N:
-        raise CapExceededError(f"search capped at n <= {SEARCH_MAX_N}, got {n}")
     m = n // F
+    _check_search(n, m)
     gamma, rep = min(
-        (Fraction(dup_count_formula(BinarySequence(rep, m), F), max_count), rep)
+        (Fraction(dup_estimate(BinarySequence(rep, m), n)[1], max_count), rep)
         for rep, max_count, _ in _map_classes(_classes(m)[1], m, n, 1)
     )
     return BinarySequence(rep, m), float(gamma)

@@ -14,8 +14,12 @@ slow references the new paths must agree with:
   `walk_channel_matrix`, the column-at-a-time channel-matrix build on it
   (bit for bit);
 - `partition_dup_sum_assign_by_length`, the partition enumeration that the
-  run-length DP `delcap.bounds._dup_sum_assign_by_length` replaced
+  run-length DP `delcap.mdm._dup_sum_assign_by_length` replaced
   (exactly);
+- `text_dup_estimate` with `dup_count_formula`, `build_dup_sequence` and
+  `approximate_dup_sequence`, the duplication candidate built as text and
+  recounted with the scalar DP, which `delcap.mdm.dup_estimate` replaced
+  (exactly, the Gamma estimate to rounding);
 - `direct_input_divergences`, the matrix-wide divergence formula that the
   two matrix-vector products of `delcap.baa._input_divergences` replaced
   (to rounding).
@@ -32,10 +36,19 @@ from __future__ import annotations
 
 import itertools
 import math
+from typing import Optional, Union
 
 import numpy as np
 
-from delcap import BinarySequence, CapExceededError, count_deletion_patterns, run_length_profile
+from delcap import (
+    BinarySequence,
+    CapExceededError,
+    DupApproach,
+    count_deletion_patterns,
+    run_length_profile,
+    runs,
+)
+from delcap.bitseq import MAX_LEN
 from delcap.patcount import VECTOR_MAX_N
 
 
@@ -282,6 +295,98 @@ def partition_dup_sum_assign_by_length(m: int, base: int, extra: int):
             arrangements //= math.factorial(a)
         total += 2 * arrangements * weight
     return total
+
+
+def dup_count_formula(y: BinarySequence, F: int) -> int:
+    """prod_l C(l*F, l)^(R_l) over the run-length profile of y.
+
+    Equals #(x_dup, y) for the candidate that repeats each bit F times.
+    """
+    if F < 1:
+        raise ValueError(f"repeat factor must be >= 1, got {F}")
+    profile = run_length_profile(y)
+    out = 1
+    for l, r in profile.counts.items():
+        out *= math.comb(l * F, l) ** r
+    return out
+
+
+def build_dup_sequence(y: BinarySequence, F: int) -> BinarySequence:
+    """Each bit of y repeated F times, in order."""
+    if F < 1:
+        raise ValueError(f"repeat factor must be >= 1, got {F}")
+    if F * len(y) > MAX_LEN:
+        raise CapExceededError(f"duplicated length {F * len(y)} exceeds {MAX_LEN}")
+    text = "".join(str(b) * F for b in y)
+    return BinarySequence.from_string(text)
+
+
+def approximate_dup_sequence(
+    y: BinarySequence, n: int, approach: DupApproach
+) -> Union[BinarySequence, float]:
+    """Duplication candidate for a fractional repeat factor F = n / len(y).
+
+    The two assignment approaches first repeat every bit floor(F) times and
+    then hand the n - m*floor(F) leftover bits to whole runs, at most l extra
+    bits to an l-run (so each run absorbs at most one extra copy per original
+    bit).  ASSIGN_TO_LAST walks the runs from the last one backwards;
+    ASSIGN_BY_LENGTH walks them longest first, ties broken by earlier
+    position.  Both return a concrete length-n sequence.
+
+    GAMMA instead returns the real-valued product with each binomial
+    C(l*F, l) generalized to Gamma(l*F+1) / (Gamma(l+1) * Gamma(l*F-l+1)).
+    """
+    m = len(y)
+    if m == 0:
+        raise ValueError("cannot stretch an empty sequence")
+    if m > n:
+        raise ValueError(f"output longer than input ({m} > {n})")
+    if n > MAX_LEN:
+        raise CapExceededError(f"input length {n} exceeds {MAX_LEN}")
+    if approach is DupApproach.GAMMA:
+        F = n / m
+        log_est = 0.0
+        for l, r in run_length_profile(y).counts.items():
+            log_est += r * (
+                math.lgamma(l * F + 1)
+                - math.lgamma(l + 1)
+                - math.lgamma(l * F - l + 1)
+            )
+        return math.exp(log_est)
+    base, extra = divmod(n, m)
+    run_list = runs(y)
+    if approach is DupApproach.ASSIGN_TO_LAST:
+        order = range(len(run_list) - 1, -1, -1)
+    else:
+        order = sorted(range(len(run_list)), key=lambda j: (-run_list[j][1], j))
+    bonus = [0] * len(run_list)
+    left = extra
+    for j in order:
+        if left == 0:
+            break
+        take = min(left, run_list[j][1])
+        bonus[j] = take
+        left -= take
+    # extra < m = sum of run lengths, so the leftover always fits
+    text = "".join(str(v) * (l * base + bonus[j]) for j, (v, l) in enumerate(run_list))
+    return BinarySequence.from_string(text)
+
+
+def text_dup_estimate(
+    y: BinarySequence, n: int, approach: DupApproach
+) -> tuple[Optional[BinarySequence], Union[int, float]]:
+    """Duplication candidate and its count for integer or fractional factor."""
+    m = len(y)
+    if m == 0:
+        # only the all-deleting pattern; the candidate slot still needs length n
+        return BinarySequence(0, n), 1
+    if n % m == 0:
+        F = n // m
+        return build_dup_sequence(y, F), dup_count_formula(y, F)
+    if approach is DupApproach.GAMMA:
+        return None, approximate_dup_sequence(y, n, approach)
+    x = approximate_dup_sequence(y, n, approach)
+    return x, count_deletion_patterns(x, y)
 
 
 def direct_input_divergences(w, p: np.ndarray) -> np.ndarray:

@@ -22,8 +22,7 @@ from delcap import (
     runs,
     typical_output_length,
 )
-from delcap.bounds import _dup_sum_assign_by_length
-from delcap.mdm import _dup_estimate
+from delcap.mdm import _dup_sum_assign_by_length, dup_estimate
 from oracle_utils import expected_runs, expected_runs_exact, mu_d
 from oracle_utils import partition_dup_sum_assign_by_length
 
@@ -88,7 +87,7 @@ def _direct_dup_sum_bound(n, d, approach):
     m = typical_output_length(n, d)
     total = 0.0
     for y in all_sequences(m):
-        _, count = _dup_estimate(y, n, approach)
+        _, count = dup_estimate(y, n, approach)
         total += count
     return math.log2(total) / n
 

@@ -8,7 +8,7 @@ import math
 
 import pytest
 
-from delcap import cli, typical_output_length
+from delcap import cli, sum_max_counts, typical_output_length
 from delcap.cli import main
 
 
@@ -79,6 +79,15 @@ def test_table_gamma_rows_have_empty_x_dup(tmp_path):
     fields = row.split(",")
     assert fields[3] == ""
     assert fields[4] == f"{(7 / 3) ** 3:.6f}"
+    # a fractional stretch: only the Gamma estimate leaves x_dup empty
+    for approach, tail in (
+        ("assign-to-last", ",001111000,36,0.90000"),
+        ("assign-by-length", ",001111100,40,1.00000"),
+        ("gamma", ",,39.867188,0.99668"),
+    ):
+        assert run(["mdm-table", "--n", "9", "--m", "4", "--approach", approach, "--output", str(out)]) == 0
+        [row] = [l for l in out.read_text().splitlines() if l.startswith("0110,")]
+        assert row == "0110,001111100,40" + tail, approach
 
 
 def test_table_checkpoint_resume_identical_csv(tmp_path):
@@ -295,3 +304,20 @@ def test_hypotheses_csv(tmp_path):
 
 def test_hypotheses_rejects_non_divisible_n():
     assert run(["hypotheses", "--n-list", "9", "--factor", "2", "--output", "/tmp/never.csv"]) == 2
+    assert run(["hypotheses", "--n-list", "8", "--factor", "0", "--output", "/tmp/never.csv"]) == 2
+
+
+def test_out_of_range_lengths_are_usage_errors(tmp_path, capsys):
+    out = str(tmp_path / "out.csv")
+    bounds = ["bounds", "--channel", "bdc", "--d-grid", "0.4:0.5:0.1", "--kinds", "raw", "--output", out]
+    cases = [
+        (bounds + ["--n", "-3"], "-3"),
+        (bounds + ["--n", "0"], "0"),
+        (["baa", "--n", "0", "--d", "0.5"], "0"),
+        (["mdm-table", "--n", "5", "--m", "-1", "--output", out], "-1"),
+    ]
+    for argv, length in cases:
+        assert run(argv) == 2, argv
+        assert f"length {length} " in capsys.readouterr().err, argv
+    with pytest.raises(ValueError, match="length -1 "):
+        sum_max_counts(5, -1)

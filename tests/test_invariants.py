@@ -16,7 +16,7 @@ from delcap import (
     counts_for_all_inputs,
     reverse,
 )
-from delcap.mdm import _dup_estimate
+from delcap.mdm import dup_estimate
 
 MAX_N = 12
 
@@ -55,7 +55,7 @@ def test_pattern_counts_over_all_outputs_sum_to_binomial(pair):
 def test_dup_count_at_most_max_count(pair, approach):
     x, y = pair
     n = len(x)
-    _, dup_count = _dup_estimate(y, n, approach)
+    _, dup_count = dup_estimate(y, n, approach)
     assert dup_count <= int(counts_for_all_inputs(y, n).max())
 
 

@@ -13,11 +13,10 @@ from delcap import (
     BinarySequence,
     CapExceededError,
     DupApproach,
-    approximate_dup_sequence,
-    build_dup_sequence,
+    all_sequences,
     canonical_form,
     count_deletion_patterns,
-    dup_count_formula,
+    dup_estimate,
     duplication_ratio,
     flip_sequence,
     is_alternating,
@@ -28,7 +27,7 @@ from delcap import (
 )
 from delcap import patcount
 from delcap.mdm import _classes, _format_checkpoint_line, _parse_checkpoint, _solve_class
-from oracle_utils import prefix_walk_counts, walk_table
+from oracle_utils import prefix_walk_counts, text_dup_estimate, walk_table
 
 # frozen by two independent routes: the vectorized sweep and per-pair
 # subset enumeration, cross-checked under reversal/complement symmetry
@@ -90,19 +89,20 @@ def test_x_star_is_smallest_numeral_argmax():
 
 def test_dup_count_formula_and_sequence():
     y = _seq("0101010")
-    x = build_dup_sequence(y, 2)
+    x, count = dup_estimate(y, 14)
     assert x.to_string() == "00110011001100"
-    assert dup_count_formula(y, 2) == 128
+    assert count == 128
     assert count_deletion_patterns(x, y) == 128
     # two runs of unequal length
     y2 = _seq("011")
-    assert build_dup_sequence(y2, 3).to_string() == "000111111"
-    assert dup_count_formula(y2, 3) == math.comb(3, 1) * math.comb(6, 2)
+    x2, count2 = dup_estimate(y2, 9)
+    assert x2.to_string() == "000111111"
+    assert count2 == math.comb(3, 1) * math.comb(6, 2)
 
 
 def test_dup_sequence_cap():
     with pytest.raises(CapExceededError):
-        build_dup_sequence(BinarySequence(0, 32), 3)
+        dup_estimate(BinarySequence(0, 32), 96)
 
 
 def test_dup_count_matches_direct_count():
@@ -111,14 +111,14 @@ def test_dup_count_matches_direct_count():
         m = rng.randint(1, 7)
         F = rng.randint(1, 63 // m)
         y = BinarySequence.from_numeral(rng.getrandbits(m), m)
-        x = build_dup_sequence(y, F)
-        assert count_deletion_patterns(x, y) == dup_count_formula(y, F)
+        x, count = dup_estimate(y, F * m)
+        assert count_deletion_patterns(x, y) == count
 
 
 def test_approach_worked_examples():
     y = _seq("010001")
-    to_last = approximate_dup_sequence(y, 15, DupApproach.ASSIGN_TO_LAST)
-    by_length = approximate_dup_sequence(y, 15, DupApproach.ASSIGN_BY_LENGTH)
+    to_last, _ = dup_estimate(y, 15, DupApproach.ASSIGN_TO_LAST)
+    by_length, _ = dup_estimate(y, 15, DupApproach.ASSIGN_BY_LENGTH)
     assert to_last.to_string() == "001100000000111"
     assert by_length.to_string() == "001100000000011"
 
@@ -129,9 +129,11 @@ def test_approaches_agree_for_integer_stretch():
         m = rng.randint(1, 7)
         F = rng.randint(1, 63 // m)
         y = BinarySequence.from_numeral(rng.getrandbits(m), m)
-        want = build_dup_sequence(y, F)
-        for approach in (DupApproach.ASSIGN_TO_LAST, DupApproach.ASSIGN_BY_LENGTH):
-            assert approximate_dup_sequence(y, F * m, approach) == want
+        want = _seq("".join(str(b) * F for b in y))
+        for approach in DupApproach:
+            x, count = dup_estimate(y, F * m, approach)
+            assert x == want
+            assert count == count_deletion_patterns(want, y)
 
 
 def test_approximate_sequences_preserve_output():
@@ -141,9 +143,24 @@ def test_approximate_sequences_preserve_output():
         n = rng.randint(m, min(40, 4 * m))
         y = BinarySequence.from_numeral(rng.getrandbits(m), m)
         for approach in (DupApproach.ASSIGN_TO_LAST, DupApproach.ASSIGN_BY_LENGTH):
-            x = approximate_dup_sequence(y, n, approach)
+            x, count = dup_estimate(y, n, approach)
             assert len(x) == n
-            assert count_deletion_patterns(x, y) >= 1
+            assert count_deletion_patterns(x, y) == count >= 1
+
+
+def test_dup_estimate_matches_text_built_recount():
+    # the parent's candidate, built as text and recounted with the scalar DP
+    for m in range(11):
+        for y in all_sequences(m):
+            for n in range(m, 17):
+                for approach in DupApproach:
+                    x, count = dup_estimate(y, n, approach)
+                    want_x, want_count = text_dup_estimate(y, n, approach)
+                    assert x == want_x, (y, n, approach)
+                    if x is None:
+                        assert count == pytest.approx(want_count, rel=1e-12, abs=0)
+                    else:
+                        assert count == count_deletion_patterns(x, y), (y, n, approach)
 
 
 def test_gamma_approach_fractional_value():
