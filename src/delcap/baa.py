@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitseq import BinarySequence, CapExceededError
+from .bitseq import CapExceededError
 from .patcount import counts_for_all_inputs  # noqa: F401  (the benchmark tracer wraps this name)
 from .patcount import split_counts
 
@@ -41,13 +41,13 @@ KKT_SUPPORT_EPS = 1e-12
 class ChannelMatrix:
     """Dense W(y|x) for block length n and deletion probability d.
 
-    Row index is the numeral of x; outputs run over lengths 0..n, each
-    length in numeral order, matching `outputs`; h[j] = sum_y w ln w (nats).
+    Row index is the numeral of x.  Columns run over output lengths 0..n,
+    each length in numeral order: output v of length m is column
+    2^m - 1 + v.  h[j] = sum_y w ln w (nats).
     """
 
     n: int
     d: float
-    outputs: list
     w: np.ndarray
     h: np.ndarray
 
@@ -83,19 +83,16 @@ def build_channel_matrix(n: int, d: float) -> ChannelMatrix:
         raise ValueError(f"deletion probability {d} outside (0, 1)")
     w = np.empty((1 << n, (1 << (n + 1)) - 1), dtype=np.float64)
     h = np.zeros(1 << n)
-    outputs: list = []
     for m in range(n + 1):
         scale = (1.0 - d) ** m * d ** (n - m)
-        ys = [BinarySequence.from_numeral(v, m) for v in range(1 << m)]
-        for first, x0, block in split_counts(ys, n):
+        for first, x0, block in split_counts(range(1 << m), m, n):
             block *= scale
-            rows, col = slice(x0, x0 + block.shape[1]), len(outputs) + first
+            rows, col = slice(x0, x0 + block.shape[1]), (1 << m) - 1 + first
             w[rows, col : col + len(block)] = block.T
             for terms in block * np.log(block + (block == 0.0)):
                 h[rows] += terms
-        outputs += ys
     assert abs(w.sum(axis=1) - 1.0).max() < 1e-12, "rows must be stochastic"
-    return ChannelMatrix(n=n, d=d, outputs=outputs, w=w, h=h)
+    return ChannelMatrix(n=n, d=d, w=w, h=h)
 
 
 def _input_divergences(w: ChannelMatrix, p: np.ndarray) -> np.ndarray:
@@ -140,6 +137,8 @@ def baa_capacity(
     The bracket is (max_j D_j - sum_j p_j D_j) / n in bits: an upper and
     lower capacity estimate from the same divergences.  Non-convergence
     within max_iter is reported through the `converged` flag, not an error.
+    The KKT residual is of the last distribution scored, the one whose
+    information is the capacity proxy, converged or not.
     """
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
@@ -149,15 +148,13 @@ def baa_capacity(
     size = 1 << n
     p = np.full(size, 1.0 / size)
     history: list[float] = []
-    converged = False
-    for _ in range(max_iter):
+    while True:
         D, info = _step(w, p)
         history.append(info / (n * _LN2))
-        bracket = (float(D.max()) - info) / (n * _LN2)
-        if bracket <= tol:
-            converged = True
+        converged = (float(D.max()) - info) / (n * _LN2) <= tol
+        if converged or len(history) == max_iter:
             break
-        p = _reweight(p, D)
+        p = _reweight(p, D)  # only when scored next: the residual is of the proxy's p
     proxy = history[-1]
     return BaaReport(
         n=n,

@@ -30,11 +30,10 @@ from .bounds import (
 )
 from .mdm import (
     DupApproach,
-    duplication_ratio,
+    duplication_ratios,
     flip_sequence,
     is_alternating,
     mdm_table,
-    min_duplication_ratio,
     stirling_lower_bound,
 )
 from .patcount import count_deletion_patterns, count_deletion_patterns_oracle
@@ -65,7 +64,10 @@ def _parse_grid(text: str) -> list[float]:
     start, stop, step = (float(p) for p in parts)
     if not (start < stop and step > 0.0):
         raise ValueError("grid needs start < stop and step > 0")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    points = (stop - start) / step
+    if not all(map(math.isfinite, (start, stop, step, points))):
+        raise ValueError(f"grid needs a finite start, stop, step and point count, got {text!r}")
+    count = int(math.floor(points + 1e-9)) + 1
     return [start + i * step for i in range(count)]
 
 
@@ -118,26 +120,25 @@ def cmd_mdm_table(args) -> int:
     return 0
 
 
-def _bdc_point(token: str, d: float, args, ml_cache: dict):
+def _bdc_point(token: str, d: float, args, cache: dict):
     """(kind label, n column, value) for one bdc bound row."""
-    if token in ("raw", "adjusted"):
+    if token in ("raw", "adjusted") or token in _DUP_TOKEN_TO_APPROACH:
         if args.n is None:
-            raise ValueError("--n is required for raw/adjusted kinds")
-        # both values depend on d only through m, so a search per distinct m
-        m = typical_output_length(args.n, d)
-        if m not in ml_cache:
-            ml_cache[m] = bdc_ml_bound_n(args.n, d, threads=args.threads)
-        raw, adjusted = ml_cache[m]
-        if token == "raw":
-            return "bdc_ml_raw", args.n, raw
-        return "bdc_ml_adjusted", args.n, adjusted
-    if token in _DUP_TOKEN_TO_APPROACH:
-        if args.n is None:
-            raise ValueError("--n is required for dup kinds")
-        approach = _DUP_TOKEN_TO_APPROACH[token]
-        value = bdc_dup_bound_n(args.n, d, approach)
-        label = "bdc_dup_" + approach.value.replace("-", "_")
-        return label, args.n, value
+            raise ValueError(f"--n is required for the {token} kind")
+        # these depend on d only through m: one evaluation per (kind, m),
+        # keyed None for the search that raw and adjusted share
+        approach = _DUP_TOKEN_TO_APPROACH.get(token)
+        key = (approach, typical_output_length(args.n, d))
+        if key not in cache:
+            cache[key] = (
+                bdc_ml_bound_n(args.n, d, threads=args.threads)
+                if approach is None
+                else bdc_dup_bound_n(args.n, d, approach)
+            )
+        if approach is not None:
+            return "bdc_dup_" + approach.value.replace("-", "_"), args.n, cache[key]
+        raw, adjusted = cache[key]
+        return f"bdc_ml_{token}", args.n, raw if token == "raw" else adjusted
     if token == "explicit":
         return "explicit_approx", 0, explicit_approx(d)
     if token == "trivial":
@@ -163,11 +164,11 @@ def cmd_bounds(args) -> int:
                 raise ValueError(
                     f"unknown bound kind {kind!r}; pick from {', '.join(_BDC_KIND_TOKENS)}"
                 )
-        ml_cache: dict = {}
+        cache: dict = {}
         for d in grid:
             for kind in kinds:
                 try:
-                    label, n_col, value = _bdc_point(kind, d, args, ml_cache)
+                    label, n_col, value = _bdc_point(kind, d, args, cache)
                 except DegenerateOutputError as exc:
                     print(f"warning: skipping d={d:.6f} {kind}: {exc}", file=sys.stderr)
                     continue
@@ -223,12 +224,12 @@ def cmd_hypotheses(args) -> int:
     n_list = [int(tok) for tok in args.n_list.split(",") if tok.strip()]
     rows = []
     for n in n_list:
-        y_min, gamma = min_duplication_ratio(n, args.factor)
-        m = n // args.factor
-        # exact comparison: the flip ratio can tie the minimum even when a
-        # smaller-numeral minimizer is reported
-        flip_gamma = duplication_ratio(flip_sequence(m), n)
-        attains = flip_gamma == duplication_ratio(y_min, n)
+        ratios = duplication_ratios(n, args.factor)
+        rep = min(ratios, key=ratios.get)  # ties go to the smallest rep
+        y_min, gamma = BinarySequence(rep, n // args.factor), float(ratios[rep])
+        # exact comparison: the flip ratio, 0101... being its own class rep,
+        # can tie the minimum even when a smaller-numeral minimizer is reported
+        attains = ratios[flip_sequence(len(y_min)).bits] == ratios[rep]
         rows.append(
             (
                 str(n),

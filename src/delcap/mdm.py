@@ -300,7 +300,7 @@ def _solve_class(reps: list, m: int, n: int, ties: bool = False) -> list[tuple[i
     # per class, as minima: smallest numeral, minus the largest, and the
     # same two for the bit-reversed numerals
     ends: list = [None] * len(reps)
-    for first, x0, block in split_counts([BinarySequence(rep, m) for rep in reps], n):
+    for first, x0, block in split_counts(reps, m, n):
         for c, row in enumerate(block, first):
             top = int(row.max())
             if top < best[c]:
@@ -478,22 +478,28 @@ def duplication_ratio(y: BinarySequence, n: int) -> Fraction:
     return Fraction(dup_estimate(y, n)[1], max_count)
 
 
-def min_duplication_ratio(n: int, F: int) -> tuple[BinarySequence, float]:
-    """Minimizing y of the duplication ratio over {0,1}^(n/F) and its ratio.
-
-    Requires F to divide n.  Ties go to the smallest numeral y.  The ratio is
-    symmetry-class invariant and each class rep is its numeral-smallest
-    member, so one search per class suffices.
-    """
+def duplication_ratios(n: int, F: int) -> dict[int, Fraction]:
+    """Exact duplication ratio of every symmetry class of {0,1}^(n/F), keyed
+    by class rep numeral in ascending order.  Requires F to divide n."""
     if F < 1 or n < 1 or n % F:
         raise ValueError(f"need n >= 1 and a factor F >= 1 dividing it, got n = {n}, F = {F}")
     m = n // F
     _check_search(n, m)
-    gamma, rep = min(
-        (Fraction(dup_estimate(BinarySequence(rep, m), n)[1], max_count), rep)
+    return {
+        rep: Fraction(dup_estimate(BinarySequence(rep, m), n)[1], max_count)
         for rep, max_count, _ in _map_classes(_classes(m)[1], m, n, 1)
-    )
-    return BinarySequence(rep, m), float(gamma)
+    }
+
+
+def min_duplication_ratio(n: int, F: int) -> tuple[BinarySequence, float]:
+    """Minimizing y of the duplication ratio over {0,1}^(n/F) and its ratio.
+
+    Requires F to divide n.  Ties go to the smallest numeral y, the first
+    minimal rep of `duplication_ratios` (each rep is its class's smallest).
+    """
+    ratios = duplication_ratios(n, F)
+    rep = min(ratios, key=ratios.get)
+    return BinarySequence(rep, n // F), float(ratios[rep])
 
 
 def flip_sequence(m: int) -> BinarySequence:

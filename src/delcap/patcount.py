@@ -5,10 +5,10 @@ the positions of x, of weight len(x) - len(y), whose surviving positions
 spell y.  Equivalently it is the number of distinct embeddings of y as a
 subsequence of x.  The scalar routines return exact Python ints.  The
 all-inputs kernel (`split_counts`, and `counts_for_all_inputs` for one
-output) splits every input at the middle: it walks the scalar DP over all
-half-length prefixes and, from the last symbol, all half-length suffixes of
-x, and takes the counts of all 2^n inputs as one product of the two tables
-per output, batched over the outputs of one length within a byte budget.
+output) takes outputs as numerals and splits every input at the middle: it
+walks the scalar DP over all half-length prefixes and, from the last symbol,
+all half-length suffixes of x, and takes the counts of all 2^n inputs as one
+product of the two tables per output, in blocks within a byte budget.
 
 Two independent routes are provided on purpose: a prefix dynamic program
 (`count_deletion_patterns`) and a brute-force enumerator over kept-position
@@ -132,12 +132,13 @@ def split_batch(n: int, m: int) -> int:
     return max(1, (SPLIT_BYTES - SPLIT_BYTES // 4) // table_bytes)
 
 
-def split_counts(ys: list, n: int):
+def split_counts(ys, m: int, n: int):
     """#(x, y) for every x in {0,1}^n and every y in ys, in bounded blocks.
 
-    All of ys share one length m.  Returns an iterator of (first, x0, block)
-    with block[i, r] = #(x0 + r, ys[first + i]) as exact float64 integers;
-    the blocks cover every (y, x) pair once, in order of y and then of x.
+    ys holds the numerals of length-m outputs (a list, a range or an int
+    array).  Returns an iterator of (first, x0, block) with
+    block[i, r] = #(x0 + r, ys[first + i]) as exact float64 integers; the
+    blocks cover every (y, x) pair once, in order of y and then of x.
 
     Split x = u v with u its a = floor(n/2) leading and v its b = n - a
     trailing symbols.  A deletion pattern of x splits into one of u and one
@@ -157,31 +158,29 @@ def split_counts(ys: list, n: int):
 
     The working set stays within SPLIT_BYTES: outputs are walked in batches
     of `split_batch(n, m)`, whose tables and walk temporaries fit three
-    quarters of it, and each block (several outputs' whole products, or
-    rows of one output's) fits the last quarter.  An output whose tables
-    alone exceed the three quarters still makes a batch of one.
+    quarters of it, and each block (the whole products of several outputs,
+    or rows u of one output's) fits the last quarter.  An output whose
+    tables alone exceed the three quarters still makes a batch of one.
     """
-    m = len(ys[0]) if ys else 0
-    if any(len(y) != m for y in ys):
-        raise ValueError("outputs of one batch must share a length")
     if m > n:
         raise ValueError(f"output longer than input ({m} > {n})")
     if n > VECTOR_MAX_N:
         raise CapExceededError(f"vector sweep capped at n <= {VECTOR_MAX_N}, got {n}")
-    return _split_blocks(ys, n, m)
+    return _split_blocks(ys, m, n)
 
 
-def _split_blocks(ys: list, n: int, m: int):
+def _split_blocks(ys, m: int, n: int):
     a, b = n // 2, n - n // 2
     lo, hi = max(0, m - b), min(a, m)
     shifts = np.arange(m - 1, -1, -1)
     quarter = SPLIT_BYTES // 4
-    whole = quarter // (8 << n)  # outputs whose products fit one block together
-    step = max(1, quarter // (8 << b))  # else rows u of one output per block
+    # a block is the whole products of `outs` outputs when one fits the
+    # quarter (step then spans every row u), else `step` rows u of one
+    outs = max(1, quarter // (8 << n))
+    step = max(1, quarter // (8 << b))
     size = split_batch(n, m)
     for first in range(0, len(ys), size):
-        batch = ys[first : first + size]
-        sym = (np.array([y.bits for y in batch], dtype=np.int64)[:, None] >> shifts) & 1
+        sym = (np.asarray(ys[first : first + size], dtype=np.int64)[:, None] >> shifts) & 1
         pre = _walk(sym, a, hi + 1, append=True)[:, :, lo:]
         pre = np.ascontiguousarray(pre, dtype=np.float64)
         # the suffix walk runs over y and v from their last symbols, so its
@@ -191,15 +190,10 @@ def _split_blocks(ys: list, n: int, m: int):
         suf = np.ascontiguousarray(suf, dtype=np.float64)
         # per output: (2^a, band) @ (band, 2^b), rows u and columns v
         pre, suf = pre.transpose(1, 0, 2), suf.transpose(1, 2, 0)
-        if whole:
-            for c in range(0, len(batch), whole):
-                block = np.matmul(pre[c : c + whole], suf[c : c + whole])
-                yield first + c, 0, block.reshape(len(block), -1)
-        else:
-            for c in range(len(batch)):
-                for u in range(0, 1 << a, step):
-                    block = pre[c, u : u + step] @ suf[c]
-                    yield first + c, u << b, block.reshape(1, -1)
+        for c in range(0, len(sym), outs):
+            for u in range(0, 1 << a, step):
+                block = np.matmul(pre[c : c + outs, u : u + step], suf[c : c + outs])
+                yield first + c, u << b, block.reshape(len(block), -1)
 
 
 def counts_for_all_inputs(y: BinarySequence, n: int) -> np.ndarray:
@@ -209,6 +203,6 @@ def counts_for_all_inputs(y: BinarySequence, n: int) -> np.ndarray:
     `split_counts` for the single output y.
     """
     out = np.empty(1 << n, dtype=np.int64)
-    for _, x0, block in split_counts([y], n):
+    for _, x0, block in split_counts([y.bits], len(y), n):
         out[x0 : x0 + block.shape[1]] = block[0]
     return out

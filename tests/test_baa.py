@@ -15,21 +15,27 @@ from delcap import (
     kkt_residual,
 )
 from delcap import patcount
-from delcap.baa import _input_divergences, _step
+from delcap.baa import _input_divergences, _reweight, _step
 from oracle_utils import direct_input_divergences, walk_channel_matrix
+
+
+def _column(y: str) -> int:
+    """W's column of output y: 2^m - 1 + v for the numeral v of length m."""
+    return (1 << len(y)) - 1 + (int(y, 2) if y else 0)
 
 
 def test_matrix_single_symbol():
     w = build_channel_matrix(1, 0.3)
-    assert [y.to_string() for y in w.outputs] == ["", "0", "1"]
-    assert np.allclose(w.w[0], [0.3, 0.7, 0.0], atol=1e-15)
-    assert np.allclose(w.w[1], [0.3, 0.0, 0.7], atol=1e-15)
+    assert w.w.shape == (2, 3)
+    cols = [_column(y) for y in ("", "0", "1")]
+    assert np.allclose(w.w[0, cols], [0.3, 0.7, 0.0], atol=1e-15)
+    assert np.allclose(w.w[1, cols], [0.3, 0.0, 0.7], atol=1e-15)
 
 
 def test_matrix_two_symbols_hand_check():
     d = 0.4
     w = build_channel_matrix(2, d)
-    cols = {y.to_string(): j for j, y in enumerate(w.outputs)}
+    cols = {y: _column(y) for y in ("", "0", "1", "01", "10", "00")}
     x01 = w.w[0b01]
     assert x01[cols[""]] == pytest.approx(d * d, abs=1e-15)
     assert x01[cols["0"]] == pytest.approx(d * (1 - d), abs=1e-15)
@@ -99,6 +105,19 @@ def test_quasi_degenerate_support_needs_long_run():
     late = baa_capacity(6, 0.7, tol=1e-300, max_iter=50_000)
     assert late.kkt_residual < 1e-8
     assert late.capacity_proxy == pytest.approx(early.capacity_proxy, abs=1e-9)
+
+
+@pytest.mark.parametrize("n, d, max_iter", [(4, 0.5, 3), (6, 0.7, 100)])
+def test_unconverged_residual_is_of_the_proxys_distribution(n, d, max_iter):
+    report = baa_capacity(n, d, max_iter=max_iter)
+    assert not report.converged and report.iterations == max_iter
+    # rebuild the distribution whose information is the proxy
+    w = build_channel_matrix(n, d)
+    p = np.full(2**n, 1.0 / 2**n)
+    for _ in range(max_iter - 1):
+        p = _reweight(p, _step(w, p)[0])
+    assert _step(w, p)[1] / (n * math.log(2.0)) == report.history[-1]
+    assert report.kkt_residual == kkt_residual(w, p)
 
 
 def test_proxy_below_raw_ml_bound():

@@ -8,7 +8,7 @@ import math
 
 import pytest
 
-from delcap import cli, sum_max_counts, typical_output_length
+from delcap import DupApproach, cli, mdm, sum_max_counts, typical_output_length
 from delcap.cli import main
 
 
@@ -148,6 +148,38 @@ def test_bounds_ml_searches_once_per_output_length(tmp_path, monkeypatch):
         raw, adjusted = search(8, d)
         want += [f"{d:.6f},bdc_ml_raw,8,{raw:.6f}", f"{d:.6f},bdc_ml_adjusted,8,{adjusted:.6f}"]
     assert out.read_bytes() == ("\n".join(want) + "\n").encode("ascii")
+
+
+def test_bounds_dup_kinds_evaluate_once_per_output_length(tmp_path, monkeypatch):
+    calls = []
+    dup = cli.bdc_dup_bound_n
+
+    def counting(n, d, approach=DupApproach.GAMMA):
+        calls.append((approach, typical_output_length(n, d)))
+        return dup(n, d, approach)
+
+    monkeypatch.setattr(cli, "bdc_dup_bound_n", counting)
+    out = tmp_path / "dup.csv"
+    argv = ["bounds", "--channel", "bdc", "--n", "9", "--d-grid", "0.05:0.95:0.05"]
+    assert run(argv + ["--kinds", "dup-last,dup-length,dup-gamma", "--output", str(out)]) == 0
+    grid = cli._parse_grid("0.05:0.95:0.05")
+    lengths = {typical_output_length(9, d) for d in grid}
+    assert len(lengths) < len(grid)
+    assert sorted(calls) == sorted((a, m) for a in DupApproach for m in lengths)
+    # the rows one evaluation per d gives
+    want = ["d,kind,n,value"]
+    for d in grid:
+        for approach in DupApproach:  # the order of the kinds
+            label = "bdc_dup_" + approach.value.replace("-", "_")
+            want.append(f"{d:.6f},{label},9,{dup(9, d, approach):.6f}")
+    assert out.read_bytes() == ("\n".join(want) + "\n").encode("ascii")
+
+
+def test_bounds_rejects_non_finite_grid(tmp_path, capsys):
+    out = str(tmp_path / "x.csv")
+    for grid in ("0:inf:0.1", "0:1e300:1e-300"):
+        assert run(["bounds", "--channel", "bec", "--d-grid", grid, "--output", out]) == 2
+        assert "finite" in capsys.readouterr().err, grid
 
 
 def test_bounds_bdc_kinds_and_order(tmp_path):
@@ -300,6 +332,20 @@ def test_hypotheses_csv(tmp_path):
     assert [r[6] for r in rows] == ["true"] * 4
     assert rows[3][2] == "0101010"
     assert float(rows[3][7]) == pytest.approx(2**7 / math.comb(14, 7), abs=1e-5)
+
+
+def test_hypotheses_solves_each_class_once(tmp_path, monkeypatch):
+    solved = []
+    solve = mdm._solve_class
+
+    def counting(reps, m, n, ties=False):
+        solved.extend((n, rep) for rep in reps)
+        return solve(reps, m, n, ties)
+
+    monkeypatch.setattr(mdm, "_solve_class", counting)
+    out = tmp_path / "hyp.csv"
+    assert run(["hypotheses", "--n-list", "8,10,12", "--factor", "2", "--output", str(out)]) == 0
+    assert sorted(solved) == [(n, rep) for n in (8, 10, 12) for rep in mdm._classes(n // 2)[1]]
 
 
 def test_hypotheses_rejects_non_divisible_n():

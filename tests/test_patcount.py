@@ -172,13 +172,16 @@ def test_split_counts_blocks_cover_every_pair_in_order(monkeypatch, budget):
     monkeypatch.setattr(patcount, "SPLIT_BYTES", budget)
     n = 9
     for m in (0, 3, 5, 9):
-        ys = list(all_sequences(m))
+        # numerals in any sequence type: a list in descending order, a range
+        # and an int array
+        ys = {5: range(1 << m), 9: np.arange(1 << m)}.get(m, list(range(1 << m))[::-1])
         seen = []
-        for first, x0, block in patcount.split_counts(ys, n):
+        for first, x0, block in patcount.split_counts(ys, m, n):
             assert block.dtype == np.float64 and block.ndim == 2
             for i, row in enumerate(block):
                 seen.append((first + i, x0, row.shape[0]))
-                want = prefix_walk_counts(ys[first + i], n)[x0 : x0 + row.shape[0]]
+                y = BinarySequence(int(ys[first + i]), m)
+                want = prefix_walk_counts(y, n)[x0 : x0 + row.shape[0]]
                 assert np.array_equal(row, want), (m, first + i, x0)
         # every output's lanes arrive in order, whole and once
         expect, cursor = [], {}
@@ -190,9 +193,9 @@ def test_split_counts_blocks_cover_every_pair_in_order(monkeypatch, budget):
         assert cursor == {c: 2**n for c in range(len(ys))}
 
 
-def test_split_counts_rejects_mixed_lengths_and_caps():
+def test_split_counts_rejects_long_outputs_and_caps():
     with pytest.raises(ValueError):
-        patcount.split_counts([_seq("01"), _seq("011")], 5)
+        patcount.split_counts([0b011], 3, 2)
     with pytest.raises(ValueError):
         counts_for_all_inputs(_seq("0110"), 3)
     with pytest.raises(CapExceededError):
