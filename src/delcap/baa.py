@@ -6,8 +6,11 @@ to 1 - d^n), runs the alternating-maximization iteration from the uniform
 input, and reports the per-symbol capacity proxy with a convergence bracket,
 the KKT residual of the final distribution, and the additive sandwich that
 pins the true capacity under the proxy.  The per-input sum_y W ln W is
-built once beside W, so an iteration costs two matrix-vector products,
-p @ W and W @ ln q, plus O(2^(n+1)) work on vectors.
+built once beside W, so a full-support iteration costs two np.dot
+products, p W and W ln q, a log, an exp and two nonzero counts, plus
+O(2^(n+1)) work on vectors.  The zero-mass masking (ln q = 0 where
+q(y) = 0, D_j = 0 where p_j = 0) runs only when one of those exact zeros
+is there, which multiplicative updates from the uniform start never make.
 
 Input distributions are plain numpy vectors over the 2^n inputs, indexed by
 numeral like everything else; internals work in nats, the API reports bits
@@ -98,7 +101,9 @@ def build_channel_matrix(n: int, d: float) -> ChannelMatrix:
 def _input_divergences(w: ChannelMatrix, p: np.ndarray) -> np.ndarray:
     """D_j = sum_y w ln(w/q) = h_j - sum_y w[j,y] ln q(y) nats, for every j;
     +inf where some y with w[j,y] > 0 has q(y) = 0, only possible off support."""
-    q = p @ w.w
+    q = np.dot(p, w.w)
+    if np.count_nonzero(q) == q.size:  # no masking to do: the usual case
+        return w.h - np.dot(w.w, np.log(q))
     dead = q <= 0.0
     D = w.h - w.w @ np.log(q, out=np.zeros_like(q), where=~dead)
     if dead.any():
@@ -109,8 +114,10 @@ def _input_divergences(w: ChannelMatrix, p: np.ndarray) -> np.ndarray:
 def _step(w: ChannelMatrix, p: np.ndarray) -> tuple[np.ndarray, float]:
     """(D, mutual information in nats) of p; D_j is 0 where p_j = 0, which
     leaves both the information and the update p_j exp(D_j) unchanged."""
-    D = np.where(p > 0.0, _input_divergences(w, p), 0.0)
-    return D, float(p @ D)
+    D = _input_divergences(w, p)
+    if np.count_nonzero(p) < p.size:
+        D = np.where(p > 0.0, D, 0.0)
+    return D, float(np.dot(p, D))
 
 
 def _reweight(p: np.ndarray, D: np.ndarray) -> np.ndarray:
@@ -140,7 +147,7 @@ def baa_capacity(
     The KKT residual is of the last distribution scored, the one whose
     information is the capacity proxy, converged or not.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:  # NaN too: it would never stop the loop
         raise ValueError("tolerance must be positive")
     if max_iter < 1:
         raise ValueError("iteration cap must be >= 1")

@@ -15,6 +15,7 @@ import argparse
 import csv
 import math
 import sys
+import warnings
 
 from .baa import baa_capacity
 from .bitseq import BinarySequence, CapExceededError
@@ -168,10 +169,15 @@ def cmd_bounds(args) -> int:
         for d in grid:
             for kind in kinds:
                 try:
-                    label, n_col, value = _bdc_point(kind, d, args, cache)
+                    # caveats (explicit below d = 1/2) get one line per point
+                    with warnings.catch_warnings(record=True) as caveats:
+                        warnings.simplefilter("always")
+                        label, n_col, value = _bdc_point(kind, d, args, cache)
                 except DegenerateOutputError as exc:
                     print(f"warning: skipping d={d:.6f} {kind}: {exc}", file=sys.stderr)
                     continue
+                for caveat in caveats:
+                    print(f"warning: d={d:.6f} {kind}: {caveat.message}", file=sys.stderr)
                 rows.append((f"{d:.6f}", label, str(n_col), f"{value:.6f}"))
     with _open_out(args.output) as fh:
         writer = csv.writer(fh, lineterminator="\n")

@@ -22,7 +22,11 @@ slow references the new paths must agree with:
   (exactly, the Gamma estimate to rounding);
 - `direct_input_divergences`, the matrix-wide divergence formula that the
   two matrix-vector products of `delcap.baa._input_divergences` replaced
-  (to rounding).
+  (to rounding);
+- `masked_input_divergences` and `masked_step`, those two products with
+  the zero-mass masking done on every call, which the full-support fast
+  path of `delcap.baa._input_divergences` and `delcap.baa._step`
+  replaced (bit for bit).
 
 The last section holds small formulas that nothing in the library calls,
 kept with the tests that pin them: `transition_probability`, `mu_d`,
@@ -405,6 +409,24 @@ def direct_input_divergences(w, p: np.ndarray) -> np.ndarray:
     np.copyto(contrib, 0.0, where=w.w <= 0.0)
     D = contrib.sum(axis=1)
     return np.where(p > 0.0, D, 0.0)
+
+
+def masked_input_divergences(w, p: np.ndarray) -> np.ndarray:
+    """D_j = sum_y w ln(w/q) = h_j - sum_y w[j,y] ln q(y) nats, for every j;
+    +inf where some y with w[j,y] > 0 has q(y) = 0, only possible off support."""
+    q = p @ w.w
+    dead = q <= 0.0
+    D = w.h - w.w @ np.log(q, out=np.zeros_like(q), where=~dead)
+    if dead.any():
+        D[(w.w[:, dead] > 0.0).any(axis=1)] = np.inf
+    return D
+
+
+def masked_step(w, p: np.ndarray) -> tuple[np.ndarray, float]:
+    """(D, mutual information in nats) of p; D_j is 0 where p_j = 0, which
+    leaves both the information and the update p_j exp(D_j) unchanged."""
+    D = np.where(p > 0.0, masked_input_divergences(w, p), 0.0)
+    return D, float(p @ D)
 
 
 def transition_probability(x: BinarySequence, y: BinarySequence, d: float) -> float:

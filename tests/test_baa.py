@@ -14,9 +14,14 @@ from delcap import (
     dobrushin_sandwich,
     kkt_residual,
 )
-from delcap import patcount
+from delcap import baa, patcount
 from delcap.baa import _input_divergences, _reweight, _step
-from oracle_utils import direct_input_divergences, walk_channel_matrix
+from oracle_utils import (
+    direct_input_divergences,
+    masked_input_divergences,
+    masked_step,
+    walk_channel_matrix,
+)
 
 
 def _column(y: str) -> int:
@@ -177,6 +182,40 @@ def test_divergences_match_direct_formula():
                 new, _ = baa_iterate(w, p)
                 direct = p * np.exp(expected)
                 assert np.abs(new - direct / direct.sum()).max() <= 1e-12
+
+
+def test_divergences_match_masked_oracle_bit_for_bit():
+    # the full-support fast path and the masked path it skips give the same
+    # bits; the sparse distribution takes the masked path itself
+    for n in range(1, 11):
+        for d in (0.1, 0.5, 0.9):
+            w = build_channel_matrix(n, d)
+            for p in _test_distributions(2**n):
+                assert np.array_equal(
+                    _input_divergences(w, p), masked_input_divergences(w, p)
+                ), (n, d)
+                D, info = _step(w, p)
+                want_D, want_info = masked_step(w, p)
+                assert np.array_equal(D, want_D), (n, d)
+                assert info == want_info, (n, d)
+
+
+@pytest.mark.parametrize("n, d", [(6, 0.7), (9, 0.2), (5, 0.7), (8, 0.3)])
+def test_capacity_matches_masked_oracle_bit_for_bit(monkeypatch, n, d):
+    w = build_channel_matrix(n, d)
+    p = np.full(2**n, 1.0 / 2**n)
+    history = []
+    while True:
+        D, info = masked_step(w, p)
+        history.append(info / (n * math.log(2.0)))
+        if (float(D.max()) - info) / (n * math.log(2.0)) <= 1e-10 or len(history) == 20000:
+            break
+        p = _reweight(p, D)
+    report = baa_capacity(n, d)
+    assert report.history == history
+    assert report.iterations == len(history)
+    monkeypatch.setattr(baa, "_input_divergences", masked_input_divergences)
+    assert report.kkt_residual == kkt_residual(w, p)
 
 
 def _direct_history(n, d, tol=1e-10, max_iter=20000):

@@ -263,6 +263,17 @@ def test_bounds_skips_degenerate_points(tmp_path, capsys):
     assert len(lines) == 2  # header plus the one non-degenerate point
 
 
+def test_bounds_explicit_caveat_once_per_point(tmp_path, capsys):
+    out = tmp_path / "explicit.csv"
+    argv = ["bounds", "--channel", "bdc", "--d-grid", "0.1:0.7:0.2", "--kinds", "explicit,trivial"]
+    assert run(argv + ["--output", str(out)]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        f"warning: d={d} explicit: explicit approximation is stated for d >= 1/2"
+        for d in ("0.100000", "0.300000")
+    ]
+    assert len(out.read_text().splitlines()) == 1 + 4 * 2
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# comment\nd-grid=0.2:0.8:0.2\nkinds=golden\n")
@@ -309,6 +320,12 @@ def test_baa_rejects_iteration_cap_below_one(capsys):
     for cap in ("0", "-3"):
         assert run(["baa", "--n", "1", "--d", "0.3", "--max-iter", cap]) == 2
         assert "iteration cap must be >= 1" in capsys.readouterr().err
+
+
+def test_baa_rejects_nan_tolerance(capsys):
+    # NaN passed `tol <= 0` and never closed the bracket: 20,000 iterations
+    assert run(["baa", "--n", "1", "--d", "0.3", "--tol", "nan"]) == 2
+    assert "tolerance must be positive" in capsys.readouterr().err
 
 
 def test_thread_count_below_one_exits_2(tmp_path):
