@@ -11,7 +11,6 @@ from .baa import (
     BaaReport,
     ChannelMatrix,
     baa_capacity,
-    baa_iterate,
     build_channel_matrix,
     dobrushin_sandwich,
     kkt_residual,
@@ -19,12 +18,8 @@ from .baa import (
 from .bitseq import (
     BinarySequence,
     CapExceededError,
-    RunLengthProfile,
     all_sequences,
     canonical_form,
-    complement,
-    reverse,
-    run_length_profile,
     runs,
 )
 from .bounds import (
@@ -73,10 +68,8 @@ __all__ = [
     "MdmResult",
     "MdmTable",
     "PSI_CONSTANT",
-    "RunLengthProfile",
     "all_sequences",
     "baa_capacity",
-    "baa_iterate",
     "bdc_dup_bound_n",
     "bdc_ml_bound_n",
     "bec_bound",
@@ -85,7 +78,6 @@ __all__ = [
     "bsc_finite_n_check",
     "build_channel_matrix",
     "canonical_form",
-    "complement",
     "count_deletion_patterns",
     "count_deletion_patterns_oracle",
     "counts_for_all_inputs",
@@ -101,8 +93,6 @@ __all__ = [
     "min_duplication_ratio",
     "psi",
     "reference_golden_bound",
-    "reverse",
-    "run_length_profile",
     "runs",
     "stirling_lower_bound",
     "sum_max_counts",

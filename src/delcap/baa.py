@@ -125,17 +125,6 @@ def _reweight(p: np.ndarray, D: np.ndarray) -> np.ndarray:
     return new / new.sum()
 
 
-def baa_iterate(w: ChannelMatrix, p: np.ndarray) -> tuple[np.ndarray, float]:
-    """One alternating-maximization step.
-
-    Returns the reweighted distribution p'_j proportional to p_j exp(D_j)
-    and the mutual information of the incoming p in bits per symbol.
-    """
-    p = np.asarray(p, dtype=np.float64)
-    D, info = _step(w, p)
-    return _reweight(p, D), info / (w.n * _LN2)
-
-
 def baa_capacity(
     n: int, d: float, tol: float = 1e-10, max_iter: int = 20000
 ) -> BaaReport:
@@ -175,9 +164,7 @@ def baa_capacity(
     )
 
 
-def kkt_residual(
-    w: ChannelMatrix, p: np.ndarray, support_eps: float = KKT_SUPPORT_EPS
-) -> float:
+def kkt_residual(w: ChannelMatrix, p: np.ndarray) -> float:
     """Distance of p from the capacity optimality conditions, bits per symbol.
 
     With D_j the per-input divergence and lambda their p-average, an optimal
@@ -189,7 +176,7 @@ def kkt_residual(
     p = np.asarray(p, dtype=np.float64)
     D = _input_divergences(w, p) / (w.n * _LN2)
     lam = float(p @ np.where(p > 0.0, D, 0.0))
-    support = p > support_eps
+    support = p > KKT_SUPPORT_EPS
     on = np.abs(D[support] - lam).max(initial=0.0)
     return float(on + (D[~support] - lam).max(initial=0.0))
 

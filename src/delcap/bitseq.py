@@ -1,4 +1,4 @@
-"""Packed binary sequences and run-length profiles.
+"""Packed binary sequences and their runs.
 
 A sequence holds up to 63 bits in a single Python int: the sequence read as
 a binary numeral, symbol 0 being the most significant of `length` bits.
@@ -53,10 +53,6 @@ class BinarySequence:
     def bit(self, i: int) -> int:
         return (self.bits >> (self.length - 1 - i)) & 1
 
-    def numeral(self) -> int:
-        """Textual form read as a binary numeral; basis of every ordering."""
-        return self.bits
-
     def to_string(self) -> str:
         return format(self.bits, f"0{self.length}b") if self.length else ""
 
@@ -68,24 +64,6 @@ class BinarySequence:
 
     def __iter__(self) -> Iterator[int]:
         return (self.bit(i) for i in range(self.length))
-
-
-@dataclass(frozen=True)
-class RunLengthProfile:
-    """Counts of maximal runs: counts[l] is the number of l-runs.
-
-    Satisfies sum(l * counts[l]) == total_len.
-    """
-
-    counts: dict
-    total_len: int
-
-    def __post_init__(self):
-        if sum(l * r for l, r in self.counts.items()) != self.total_len:
-            raise ValueError("run lengths do not add up to the sequence length")
-        for l, r in self.counts.items():
-            if r < 0 or not 1 <= l <= self.total_len:
-                raise ValueError(f"invalid run-length entry {l}: {r}")
 
 
 def runs(y: BinarySequence) -> list[tuple[int, int]]:
@@ -101,25 +79,6 @@ def runs(y: BinarySequence) -> list[tuple[int, int]]:
     return out
 
 
-def run_length_profile(y: BinarySequence) -> RunLengthProfile:
-    """Multiset of maximal-run lengths of y."""
-    counts: dict[int, int] = {}
-    for _, l in runs(y):
-        counts[l] = counts.get(l, 0) + 1
-    return RunLengthProfile(counts, len(y))
-
-
-def complement(x: BinarySequence) -> BinarySequence:
-    """Every bit flipped, same length."""
-    mask = (1 << x.length) - 1
-    return BinarySequence(x.bits ^ mask, x.length)
-
-
-def reverse(x: BinarySequence) -> BinarySequence:
-    """Bit order reversed, same length."""
-    return BinarySequence.from_string(x.to_string()[::-1])
-
-
 def canonical_form(y: BinarySequence) -> BinarySequence:
     """Numeral-minimal member of the orbit {y, ~y, rev y, ~rev y}; idempotent.
 
@@ -127,7 +86,7 @@ def canonical_form(y: BinarySequence) -> BinarySequence:
     is the symmetry class the search modules reduce over.
     """
     mask = (1 << y.length) - 1
-    r = reverse(y).bits
+    r = int(y.to_string()[::-1] or "0", 2)
     return BinarySequence(min(y.bits, y.bits ^ mask, r, r ^ mask), y.length)
 
 

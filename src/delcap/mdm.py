@@ -33,7 +33,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .bitseq import MAX_LEN, BinarySequence, CapExceededError, run_length_profile, runs
+from .bitseq import MAX_LEN, BinarySequence, CapExceededError, runs
 from .bitseq import canonical_form  # noqa: F401  (the benchmark tracer wraps this name)
 from .patcount import VECTOR_MAX_N, count_deletion_patterns, split_batch, split_counts
 from .patcount import counts_for_all_inputs  # noqa: F401  (the benchmark tracer wraps this name)
@@ -259,9 +259,9 @@ def _map_classes(reps: list, m: int, n: int, threads: int, ties: bool = False):
     """Iterator over `_solve_class` results per rep, in order.
 
     The reps, numerals of length m, go in chunks of at most one table batch
-    (`split_batch`), and to up to `threads` processes at least one chunk
-    each.  `_solve_class` is looked up at call time, so a wrapper installed
-    on the module (a tracer, say) is what runs.
+    (`split_batch`), and to up to `threads` processes, no more than there
+    are chunks.  `_solve_class` is looked up at call time, so a wrapper
+    installed on the module (a tracer, say) is what runs.
     """
     if threads < 1:
         raise ValueError("thread count must be >= 1")
@@ -277,7 +277,8 @@ def _map_classes(reps: list, m: int, n: int, threads: int, ties: bool = False):
         from concurrent.futures import ProcessPoolExecutor
 
         k = len(chunks)
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        # at most one worker per chunk: the pool forks all its workers up front
+        with ProcessPoolExecutor(max_workers=min(threads, k)) as pool:
             for solved in pool.map(_solve_class, chunks, [m] * k, [n] * k, [ties] * k):
                 yield from solved
 
@@ -509,7 +510,7 @@ def flip_sequence(m: int) -> BinarySequence:
 
 def is_alternating(y: BinarySequence) -> bool:
     """True when every run of y has length 1."""
-    return len(y) > 0 and run_length_profile(y).counts == {1: len(y)}
+    return len(y) > 0 and all(l == 1 for _, l in runs(y))
 
 
 def stirling_lower_bound(n: int, F: int) -> float:

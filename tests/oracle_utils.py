@@ -32,6 +32,11 @@ The last section holds small formulas that nothing in the library calls,
 kept with the tests that pin them: `transition_probability`, `mu_d`,
 `expected_runs` and `expected_runs_exact`.
 
+Symmetry tests transform the sequence text, not the packed numeral:
+`flip_text` swaps every 0 and 1 (the complement) and `t[::-1]` reverses
+the text.  Run-length profiles are `collections.Counter` over the lengths
+that `delcap.runs` yields.
+
 Index conventions match the library: an integer index read big-endian is
 the sequence text, i.e. symbol j of index v is bit (n-1-j) of v.
 """
@@ -40,6 +45,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from typing import Optional, Union
 
 import numpy as np
@@ -49,11 +55,16 @@ from delcap import (
     CapExceededError,
     DupApproach,
     count_deletion_patterns,
-    run_length_profile,
     runs,
 )
 from delcap.bitseq import MAX_LEN
 from delcap.patcount import VECTOR_MAX_N
+
+_FLIP = str.maketrans("01", "10")
+
+
+def flip_text(text: str) -> str:
+    return text.translate(_FLIP)
 
 
 def combo_positions(n: int, m: int) -> np.ndarray:
@@ -308,9 +319,8 @@ def dup_count_formula(y: BinarySequence, F: int) -> int:
     """
     if F < 1:
         raise ValueError(f"repeat factor must be >= 1, got {F}")
-    profile = run_length_profile(y)
     out = 1
-    for l, r in profile.counts.items():
+    for l, r in Counter(l for _, l in runs(y)).items():
         out *= math.comb(l * F, l) ** r
     return out
 
@@ -350,7 +360,7 @@ def approximate_dup_sequence(
     if approach is DupApproach.GAMMA:
         F = n / m
         log_est = 0.0
-        for l, r in run_length_profile(y).counts.items():
+        for l, r in Counter(l for _, l in runs(y)).items():
             log_est += r * (
                 math.lgamma(l * F + 1)
                 - math.lgamma(l + 1)
@@ -444,7 +454,7 @@ def mu_d(y: BinarySequence, d: float) -> float:
     if not 0.0 < d < 1.0:
         raise ValueError(f"parameter {d} outside (0, 1)")
     total = 0.0
-    for l, r in run_length_profile(y).counts.items():
+    for l, r in Counter(l for _, l in runs(y)).items():
         total += r * math.log((2.0 * math.pi / math.e) ** 2 * d * l)
     return 0.5 * total
 

@@ -7,12 +7,8 @@ from hypothesis import strategies as st
 from delcap import (
     BinarySequence,
     CapExceededError,
-    RunLengthProfile,
     all_sequences,
     canonical_form,
-    complement,
-    reverse,
-    run_length_profile,
     runs,
 )
 from delcap.bitseq import MAX_LEN
@@ -39,18 +35,18 @@ def test_from_string_round_trip():
 def test_from_numeral_round_trip():
     s = BinarySequence.from_numeral(5, 4)
     assert s.to_string() == "0101"
-    assert s.numeral() == 5
+    assert s.bits == 5
     for length in (1, 3, 8):
         for value in range(2**length):
-            assert BinarySequence.from_numeral(value, length).numeral() == value
+            assert BinarySequence.from_numeral(value, length).bits == value
 
 
 @given(texts)
 def test_string_numeral_round_trip_property(text):
     s = BinarySequence.from_string(text)
     assert s.to_string() == text
-    assert s.numeral() == (int(text, 2) if text else 0)
-    assert BinarySequence.from_numeral(s.numeral(), len(text)) == s
+    assert s.bits == (int(text, 2) if text else 0)
+    assert BinarySequence.from_numeral(s.bits, len(text)) == s
     assert [s.bit(i) for i in range(len(text))] == [int(ch) for ch in text]
 
 
@@ -58,7 +54,7 @@ def test_empty_sequence():
     s = BinarySequence(0, 0)
     assert len(s) == 0
     assert s.to_string() == ""
-    assert s.numeral() == 0
+    assert s.bits == 0
 
 
 def test_bit_and_iteration_order():
@@ -89,20 +85,6 @@ def test_from_string_rejects_junk():
             BinarySequence.from_string(text)
 
 
-def test_complement_reverse_basic():
-    s = BinarySequence.from_string("0011")
-    assert complement(s).to_string() == "1100"
-    assert reverse(s).to_string() == "1100"
-    assert reverse(BinarySequence.from_string("010")).to_string() == "010"
-
-
-@given(sequences())
-def test_complement_reverse_involutions_commute(s):
-    assert complement(complement(s)) == s
-    assert reverse(reverse(s)) == s
-    assert complement(reverse(s)) == reverse(complement(s))
-
-
 def test_canonical_form_examples():
     assert canonical_form(BinarySequence.from_string("1010")).to_string() == "0101"
     assert canonical_form(BinarySequence.from_string("0101")).to_string() == "0101"
@@ -115,23 +97,15 @@ def test_canonical_form_is_orbit_minimum_and_invariant(s):
     flipped = text.translate(str.maketrans("01", "10"))
     orbit = (text, flipped, text[::-1], flipped[::-1])
     rep = canonical_form(s)
-    assert rep.numeral() == min(int(t or "0", 2) for t in orbit)
-    for t in (complement(s), reverse(s), complement(reverse(s))):
-        assert canonical_form(t) == rep
+    assert rep.bits == min(int(t or "0", 2) for t in orbit)
+    for t in orbit[1:]:
+        assert canonical_form(BinarySequence.from_string(t)) == rep
 
 
 def test_runs_and_profile():
     y = BinarySequence.from_string("0011101")
     assert runs(y) == [(0, 2), (1, 3), (0, 1), (1, 1)]
-    prof = run_length_profile(y)
-    assert prof.counts == {1: 2, 2: 1, 3: 1}
-    assert prof.total_len == 7
-    assert run_length_profile(BinarySequence(0, 0)).counts == {}
-
-
-def test_profile_validation():
-    with pytest.raises(ValueError):
-        RunLengthProfile({2: 1}, 3)
+    assert runs(BinarySequence(0, 0)) == []
 
 
 def test_all_sequences_order_and_count():

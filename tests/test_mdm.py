@@ -1,5 +1,6 @@
 """Tests for the exhaustive search and the duplication heuristics."""
 
+import concurrent.futures
 import functools
 import math
 import random
@@ -209,9 +210,38 @@ def test_thread_count_must_be_positive(tmp_path):
         sum_max_counts(8, 4, threads=0)
 
 
+def test_pool_starts_at_most_one_worker_per_chunk(monkeypatch):
+    # a pool forks all its workers up front, so asking for more than there
+    # are chunks forks idle processes; a serial stand-in records the request
+    pools = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            self.max_workers, self.chunks = max_workers, 0
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *args):
+            calls = list(zip(*args))
+            self.chunks += len(calls)
+            return [fn(*a) for a in calls]
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    table = mdm_table(11, 5, threads=64)
+    [pool] = pools
+    assert pool.chunks == len(_classes(5)[1]) == 10
+    assert pool.max_workers == pool.chunks
+    assert table == mdm_table(11, 5, threads=1)
+
+
 def test_table_rows_sorted_and_complete():
     table = mdm_table(10, 4)
-    assert [r.y.numeral() for r in table.rows] == list(range(16))
+    assert [r.y.bits for r in table.rows] == list(range(16))
     assert table.n == 10 and table.m == 4
 
 
