@@ -106,8 +106,7 @@ def _input_divergences(w: ChannelMatrix, p: np.ndarray) -> np.ndarray:
         return w.h - np.dot(w.w, np.log(q))
     dead = q <= 0.0
     D = w.h - w.w @ np.log(q, out=np.zeros_like(q), where=~dead)
-    if dead.any():
-        D[(w.w[:, dead] > 0.0).any(axis=1)] = np.inf
+    D[(w.w[:, dead] > 0.0).any(axis=1)] = np.inf
     return D
 
 

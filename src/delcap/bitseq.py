@@ -9,6 +9,7 @@ tie-breaking between maximizers) compare these numerals, so "0101" < "1010".
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -68,15 +69,7 @@ class BinarySequence:
 
 def runs(y: BinarySequence) -> list[tuple[int, int]]:
     """Maximal runs of y in positional order as (bit value, run length) pairs."""
-    out: list[tuple[int, int]] = []
-    i = 0
-    while i < len(y):
-        j = i
-        while j < len(y) and y.bit(j) == y.bit(i):
-            j += 1
-        out.append((y.bit(i), j - i))
-        i = j
-    return out
+    return [(v, len(list(run))) for v, run in itertools.groupby(y)]
 
 
 def canonical_form(y: BinarySequence) -> BinarySequence:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from .bitseq import MAX_LEN, CapExceededError
 from .mdm import DupApproach, dup_sum, sum_max_counts
 
 # ceil(n * p) snaps to the nearest integer within this slack so that
@@ -24,7 +25,6 @@ _TWO_PI_OVER_E = 2.0 * math.pi / math.e
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
 FINITE_CHECK_MAX_N = 60
-DUP_BOUND_MAX_N = 63
 
 
 class DegenerateOutputError(ValueError):
@@ -120,8 +120,8 @@ def bdc_dup_bound_n(
     integer repeat factors all approaches coincide with the exact product
     formula; otherwise the chosen approach fills the gap.
     """
-    if not 1 <= n <= DUP_BOUND_MAX_N:
-        raise ValueError(f"block length {n} outside [1, {DUP_BOUND_MAX_N}]")
+    if n > MAX_LEN:
+        raise CapExceededError(f"duplication bound capped at n <= {MAX_LEN}, got {n}")
     return math.log2(dup_sum(n, typical_output_length(n, d), approach)) / n
 
 

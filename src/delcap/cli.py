@@ -39,22 +39,13 @@ from .mdm import (
 )
 from .patcount import count_deletion_patterns, count_deletion_patterns_oracle
 
-_BDC_KIND_TOKENS = (
-    "raw",
-    "adjusted",
-    "dup-last",
-    "dup-length",
-    "dup-gamma",
-    "explicit",
-    "trivial",
-    "golden",
-)
-
 _DUP_TOKEN_TO_APPROACH = {
     "dup-last": DupApproach.ASSIGN_TO_LAST,
     "dup-length": DupApproach.ASSIGN_BY_LENGTH,
     "dup-gamma": DupApproach.GAMMA,
 }
+
+_BDC_KIND_TOKENS = ("raw", "adjusted", *_DUP_TOKEN_TO_APPROACH, "explicit", "trivial", "golden")
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -74,6 +65,13 @@ def _parse_grid(text: str) -> list[float]:
 
 def _open_out(path: str):
     return open(path, "w", encoding="ascii", newline="")
+
+
+def _write_csv(path: str, header: list, rows) -> None:
+    with _open_out(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def cmd_count(args) -> int:
@@ -104,25 +102,27 @@ def cmd_mdm_table(args) -> int:
         threads=args.threads,
         checkpoint_path=args.checkpoint,
     )
-    with _open_out(args.output) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["y", "x_star", "max_count", "x_dup", "dup_count", "ratio"])
-        for row in table.rows:
-            writer.writerow(
-                [
-                    row.y.to_string(),
-                    row.x_star.to_string(),
-                    str(row.max_count),
-                    "" if row.x_dup is None else row.x_dup.to_string(),
-                    _format_dup(row.dup_count),
-                    f"{row.ratio:.5f}",
-                ]
-            )
+    _write_csv(
+        args.output,
+        ["y", "x_star", "max_count", "x_dup", "dup_count", "ratio"],
+        (
+            [
+                row.y.to_string(),
+                row.x_star.to_string(),
+                str(row.max_count),
+                "" if row.x_dup is None else row.x_dup.to_string(),
+                _format_dup(row.dup_count),
+                f"{row.ratio:.5f}",
+            ]
+            for row in table.rows
+        ),
+    )
     return 0
 
 
 def _bdc_point(token: str, d: float, args, cache: dict):
-    """(kind label, n column, value) for one bdc bound row."""
+    """(kind label, n column, value) for one bdc bound row; `cmd_bounds`
+    has checked the token."""
     if token in ("raw", "adjusted") or token in _DUP_TOKEN_TO_APPROACH:
         if args.n is None:
             raise ValueError(f"--n is required for the {token} kind")
@@ -144,21 +144,17 @@ def _bdc_point(token: str, d: float, args, cache: dict):
         return "explicit_approx", 0, explicit_approx(d)
     if token == "trivial":
         return "trivial_one_minus_d", 0, 1.0 - d
-    if token == "golden":
-        return "reference_golden", 0, reference_golden_bound(d)
-    raise ValueError(f"unknown bound kind {token!r}")
+    return "reference_golden", 0, reference_golden_bound(d)
 
 
 def cmd_bounds(args) -> int:
     grid = _parse_grid(args.d_grid)
-    rows = []
-    if args.channel == "bec":
-        for d in grid:
-            rows.append((f"{d:.6f}", "bec_closed", "0", f"{bec_bound(d):.6f}"))
-    elif args.channel == "bsc":
-        for d in grid:
-            rows.append((f"{d:.6f}", "bsc_closed", "0", f"{bsc_bound(d):.6f}"))
+    closed = {"bec": bec_bound, "bsc": bsc_bound}.get(args.channel)
+    if closed:
+        label = f"{args.channel}_closed"
+        rows = [(f"{d:.6f}", label, "0", f"{closed(d):.6f}") for d in grid]
     else:
+        rows = []
         kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
         for kind in kinds:
             if kind not in _BDC_KIND_TOKENS:
@@ -179,15 +175,9 @@ def cmd_bounds(args) -> int:
                 for caveat in caveats:
                     print(f"warning: d={d:.6f} {kind}: {caveat.message}", file=sys.stderr)
                 rows.append((f"{d:.6f}", label, str(n_col), f"{value:.6f}"))
-    with _open_out(args.output) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["d", "kind", "n", "value"])
-        writer.writerows(rows)
+    _write_csv(args.output, ["d", "kind", "n", "value"], rows)
     if args.gnuplot:
-        labels = []
-        for _, label, _, _ in rows:
-            if label not in labels:
-                labels.append(label)
+        labels = dict.fromkeys(label for _, label, _, _ in rows)
         script = [
             f"# plot script for {args.output}",
             "set datafile separator ','",
@@ -218,11 +208,11 @@ def cmd_baa(args) -> int:
     print(f"sandwich_lower={lower:.6f}")
     print(f"sandwich_upper={upper:.6f}")
     if args.history:
-        with _open_out(args.history) as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["iteration", "mutual_info_bits"])
-            for i, value in enumerate(report.history, start=1):
-                writer.writerow([str(i), f"{value:.12g}"])
+        _write_csv(
+            args.history,
+            ["iteration", "mutual_info_bits"],
+            ([str(i), f"{value:.12g}"] for i, value in enumerate(report.history, start=1)),
+        )
     return 0
 
 
@@ -248,21 +238,20 @@ def cmd_hypotheses(args) -> int:
                 f"{stirling_lower_bound(n, args.factor):.5f}",
             )
         )
-    with _open_out(args.output) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            [
-                "n",
-                "F",
-                "y_min",
-                "gamma",
-                "log2_gamma_per_n",
-                "minimizer_is_alternating",
-                "alternating_attains_min",
-                "stirling_lower_bound",
-            ]
-        )
-        writer.writerows(rows)
+    _write_csv(
+        args.output,
+        [
+            "n",
+            "F",
+            "y_min",
+            "gamma",
+            "log2_gamma_per_n",
+            "minimizer_is_alternating",
+            "alternating_attains_min",
+            "stirling_lower_bound",
+        ],
+        rows,
+    )
     return 0
 
 
@@ -370,29 +359,15 @@ def _apply_config(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        argv = _apply_config(argv)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
+        args = build_parser().parse_args(_apply_config(argv))
         return args.func(args)
-    except CapExceededError as exc:
+    except SystemExit as exc:  # argparse: usage errors and --help
+        return exc.code if isinstance(exc.code, int) else 2
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        if isinstance(exc, CapExceededError):
+            return 3
+        return 2 if isinstance(exc, ValueError) else 4
 
 
 if __name__ == "__main__":

@@ -23,6 +23,7 @@ runs, which is what the duplication bound of `bounds` takes the log of.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import os
@@ -37,9 +38,6 @@ from .bitseq import MAX_LEN, BinarySequence, CapExceededError, runs
 from .bitseq import canonical_form  # noqa: F401  (the benchmark tracer wraps this name)
 from .patcount import VECTOR_MAX_N, count_deletion_patterns, split_batch, split_counts
 from .patcount import counts_for_all_inputs  # noqa: F401  (the benchmark tracer wraps this name)
-
-# Exhaustive search sweeps 2^n inputs per output class.
-SEARCH_MAX_N = VECTOR_MAX_N
 
 
 class DupApproach(str, Enum):
@@ -260,13 +258,15 @@ def _map_classes(reps: list, m: int, n: int, threads: int, ties: bool = False):
 
     The reps, numerals of length m, go in chunks of at most one table batch
     (`split_batch`), and to up to `threads` processes, no more than there
-    are chunks.  `_solve_class` is looked up at call time, so a wrapper
-    installed on the module (a tracer, say) is what runs.
+    are CPUs or chunks.  `_solve_class` is looked up at call time, so a
+    wrapper installed on the module (a tracer, say) is what runs.
     """
     if threads < 1:
         raise ValueError("thread count must be >= 1")
     if not reps:
         return iter(())
+    # a worker per CPU at most, so the chunks follow the capped count too
+    threads = min(threads, os.cpu_count() or 1)
     size = min(split_batch(n, m), -(-len(reps) // threads))
     chunks = [reps[i : i + size] for i in range(0, len(reps), size)]
     if threads == 1 or len(chunks) < 2:
@@ -400,8 +400,8 @@ def _check_search(n: int, m: int) -> None:
     """Reject an output length outside [0, n] and a search past the cap."""
     if not 0 <= m <= n:
         raise ValueError(f"output length {m} outside [0, {n}]")
-    if n > SEARCH_MAX_N:
-        raise CapExceededError(f"search capped at n <= {SEARCH_MAX_N}, got {n}")
+    if n > VECTOR_MAX_N:
+        raise CapExceededError(f"search capped at n <= {VECTOR_MAX_N}, got {n}")
 
 
 def mdm_table(
@@ -428,16 +428,13 @@ def mdm_table(
     todo = [rep for rep in reps if rep not in solved]
     results = _map_classes(todo, m, n, threads, ties=True)
 
-    checkpoint_fh = _open_checkpoint(checkpoint_path) if checkpoint_path else None
-    try:
+    checkpoint = _open_checkpoint(checkpoint_path) if checkpoint_path else contextlib.nullcontext()
+    with checkpoint as checkpoint_fh:
         for rep, max_count, stars in results:
             solved[rep] = (max_count, stars)
             if checkpoint_fh:
                 checkpoint_fh.write(_format_checkpoint_line(rep, max_count, stars, m, n) + "\n")
                 checkpoint_fh.flush()
-    finally:
-        if checkpoint_fh:
-            checkpoint_fh.close()
 
     rows = []
     for v, rep in enumerate(canon.tolist()):

@@ -127,6 +127,32 @@ def test_bounds_bec_matches_closed_form(tmp_path):
     assert lines[3] == "0.300000,bec_closed,0,0.700000"
 
 
+def test_bounds_bsc_matches_closed_form(tmp_path):
+    out = tmp_path / "bsc.csv"
+    assert run(["bounds", "--channel", "bsc", "--d-grid", "0.1:0.9:0.1", "--output", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert len(lines) == 10
+    assert lines[1] == "0.100000,bsc_closed,0,0.531004"
+    assert {line.split(",")[1] for line in lines[1:]} == {"bsc_closed"}
+
+
+def test_bounds_grids_without_three_fields_or_ascending_exit_2(tmp_path, capsys):
+    out = str(tmp_path / "g.csv")
+    for grid in ("0.1:0.9", "0.9:0.1:0.1"):
+        assert run(["bounds", "--channel", "bec", "--d-grid", grid, "--output", out]) == 2, grid
+        assert "error: grid" in capsys.readouterr().err, grid
+
+
+def test_bounds_dup_kind_past_the_length_cap_exits_3(tmp_path, capsys):
+    out = tmp_path / "dup.csv"
+    argv = ["bounds", "--channel", "bdc", "--d-grid", "0.1:0.9:0.2", "--kinds", "dup-gamma", "--output", str(out)]
+    assert run(argv + ["--n", "64"]) == 3
+    assert "capped at n <= 63" in capsys.readouterr().err
+    assert not out.exists()
+    assert run(argv + ["--n", "63"]) == 0
+    assert len(out.read_text().splitlines()) == 1 + 5
+
+
 def test_bounds_ml_searches_once_per_output_length(tmp_path, monkeypatch):
     calls = []
     search = cli.bdc_ml_bound_n
@@ -292,10 +318,26 @@ def test_config_file_with_flag_override(tmp_path):
 
 def test_config_boolean_key(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("gnuplot=true\n")
-    out = tmp_path / "c.csv"
-    assert run(["--config", str(cfg), "bounds", "--channel", "bec", "--d-grid", "0.2:0.8:0.2", "--output", str(out)]) == 0
-    assert (tmp_path / "c.csv.gp").exists()
+    for value, plotted in (("true", True), ("false", False)):
+        cfg.write_text(f"gnuplot={value}\n")
+        out = tmp_path / f"{value}.csv"
+        assert run(["--config", str(cfg), "bounds", "--channel", "bec", "--d-grid", "0.2:0.8:0.2", "--output", str(out)]) == 0
+        assert out.exists()
+        assert (tmp_path / f"{value}.csv.gp").exists() == plotted
+
+
+def test_config_usage_errors_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("gnuplot\n")
+    assert run(["--config", str(cfg), "count", "01", "0"]) == 2
+    assert capsys.readouterr().err == "error: malformed config line 'gnuplot'\n"
+    assert run(["count", "01", "0", "--config"]) == 2
+    assert capsys.readouterr().err == "error: --config needs a file path\n"
+
+
+def test_help_exits_0(capsys):
+    assert run(["--help"]) == 0
+    assert "usage: delcap" in capsys.readouterr().out
 
 
 def test_baa_stdout_and_history(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import concurrent.futures
 import functools
 import math
+import os
 import random
 from fractions import Fraction
 
@@ -210,9 +211,9 @@ def test_thread_count_must_be_positive(tmp_path):
         sum_max_counts(8, 4, threads=0)
 
 
-def test_pool_starts_at_most_one_worker_per_chunk(monkeypatch):
-    # a pool forks all its workers up front, so asking for more than there
-    # are chunks forks idle processes; a serial stand-in records the request
+def _serial_pools(monkeypatch, cpus):
+    """Swap in a serial stand-in pool that records its requests, on a
+    machine that reports `cpus` CPUs; no worker process starts."""
     pools = []
 
     class SerialPool:
@@ -232,11 +233,28 @@ def test_pool_starts_at_most_one_worker_per_chunk(monkeypatch):
             return [fn(*a) for a in calls]
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    return pools
+
+
+def test_pool_starts_at_most_one_worker_per_chunk(monkeypatch):
+    # a pool forks all its workers up front, so asking for more than there
+    # are chunks or CPUs forks idle processes
+    pools = _serial_pools(monkeypatch, cpus=4)
     table = mdm_table(11, 5, threads=64)
     [pool] = pools
-    assert pool.chunks == len(_classes(5)[1]) == 10
-    assert pool.max_workers == pool.chunks
+    assert len(_classes(5)[1]) == 10
+    assert pool.max_workers == 4 == pool.chunks
     assert table == mdm_table(11, 5, threads=1)
+
+
+def test_pool_workers_capped_at_cpu_count(monkeypatch):
+    # with one chunk per class, 100000 threads asked for one worker per class
+    pools = _serial_pools(monkeypatch, cpus=4)
+    total = sum_max_counts(12, 12, threads=100000)
+    [pool] = pools
+    assert pool.max_workers == 4
+    assert total == sum_max_counts(12, 12, threads=1) == 1 << 12
 
 
 def test_table_rows_sorted_and_complete():
