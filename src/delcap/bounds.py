@@ -155,13 +155,12 @@ def explicit_approx(d: float) -> float:
     Stated for d >= 1/2; evaluable below that with a warning.  Assumes the
     duplication estimate is asymptotically tight.
     """
-    if not 0.0 < d <= 1.0:
-        raise ValueError(f"parameter {d} outside (0, 1]")
+    p = psi(d)  # rejects d outside (0, 1] before any warning
     if d < 0.5:
         warnings.warn(
             "explicit approximation is stated for d >= 1/2", stacklevel=2
         )
-    return 1.0 - d - 0.5 * psi(d) * (1.0 - d)
+    return 1.0 - d - 0.5 * p * (1.0 - d)
 
 
 def reference_golden_bound(d: float) -> float:

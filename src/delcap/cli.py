@@ -35,6 +35,7 @@ from .mdm import (
     flip_sequence,
     is_alternating,
     mdm_table,
+    ratio_minimizer,
     stirling_lower_bound,
 )
 from .patcount import count_deletion_patterns, count_deletion_patterns_oracle
@@ -46,6 +47,9 @@ _DUP_TOKEN_TO_APPROACH = {
 }
 
 _BDC_KIND_TOKENS = ("raw", "adjusted", *_DUP_TOKEN_TO_APPROACH, "explicit", "trivial", "golden")
+
+# d prints with six decimals and lies in (0, 1): more points only repeat labels
+GRID_MAX_POINTS = 10**6
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -60,6 +64,8 @@ def _parse_grid(text: str) -> list[float]:
     if not all(map(math.isfinite, (start, stop, step, points))):
         raise ValueError(f"grid needs a finite start, stop, step and point count, got {text!r}")
     count = int(math.floor(points + 1e-9)) + 1
+    if count > GRID_MAX_POINTS:
+        raise CapExceededError(f"grid of {points + 1:.6g} points exceeds {GRID_MAX_POINTS}")
     return [start + i * step for i in range(count)]
 
 
@@ -221,11 +227,11 @@ def cmd_hypotheses(args) -> int:
     rows = []
     for n in n_list:
         ratios = duplication_ratios(n, args.factor)
-        rep = min(ratios, key=ratios.get)  # ties go to the smallest rep
-        y_min, gamma = BinarySequence(rep, n // args.factor), float(ratios[rep])
+        y_min, ratio = ratio_minimizer(ratios, n // args.factor)
+        gamma = float(ratio)
         # exact comparison: the flip ratio, 0101... being its own class rep,
         # can tie the minimum even when a smaller-numeral minimizer is reported
-        attains = ratios[flip_sequence(len(y_min)).bits] == ratios[rep]
+        attains = ratios[flip_sequence(len(y_min)).bits] == ratio
         rows.append(
             (
                 str(n),

@@ -24,7 +24,6 @@ runs, which is what the duplication bound of `bounds` takes the log of.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -261,28 +260,22 @@ def _map_classes(reps: list, m: int, n: int, threads: int, ties: bool = False):
     are CPUs or chunks.  `_solve_class` is looked up at call time, so a
     wrapper installed on the module (a tracer, say) is what runs.
     """
-    if threads < 1:
-        raise ValueError("thread count must be >= 1")
-    if not reps:
-        return iter(())
     # a worker per CPU at most, so the chunks follow the capped count too
     threads = min(threads, os.cpu_count() or 1)
-    size = min(split_batch(n, m), -(-len(reps) // threads))
+    size = min(split_batch(n, m), -(-len(reps) // threads)) or 1  # 0 when reps is empty
     chunks = [reps[i : i + size] for i in range(0, len(reps), size)]
     if threads == 1 or len(chunks) < 2:
-        return itertools.chain.from_iterable(_solve_class(c, m, n, ties) for c in chunks)
+        for chunk in chunks:
+            yield from _solve_class(chunk, m, n, ties)
+        return
+    # imported here: multiprocessing is heavy and only pooled runs need it
+    from concurrent.futures import ProcessPoolExecutor
 
-    def pooled():
-        # imported here: multiprocessing is heavy and only pooled runs need it
-        from concurrent.futures import ProcessPoolExecutor
-
-        k = len(chunks)
-        # at most one worker per chunk: the pool forks all its workers up front
-        with ProcessPoolExecutor(max_workers=min(threads, k)) as pool:
-            for solved in pool.map(_solve_class, chunks, [m] * k, [n] * k, [ties] * k):
-                yield from solved
-
-    return pooled()
+    k = len(chunks)
+    # at most one worker per chunk: the pool forks all its workers up front
+    with ProcessPoolExecutor(max_workers=min(threads, k)) as pool:
+        for solved in pool.map(_solve_class, chunks, [m] * k, [n] * k, [ties] * k):
+            yield from solved
 
 
 def _solve_class(reps: list, m: int, n: int, ties: bool = False) -> list[tuple[int, int, dict]]:
@@ -340,37 +333,32 @@ def _format_checkpoint_line(rep: int, max_count: int, stars: dict, m: int, n: in
 def _parse_checkpoint(path: str, n: int, m: int) -> dict:
     """Completed classes from a checkpoint file; malformed lines are skipped.
 
-    A line counts only when it is whole and right: its rep is a canonical
-    form, its members are exactly the rep's orbit, each with an n-symbol
-    0/1 maximizer, and the count is the scalar recount of every member's
-    maximizer.  A crash can cut the last line anywhere, and a cut that
-    drops whole members must not parse as a finished class.  Returns rep
-    numeral -> (max_count, stars) with stars keyed by member numeral.
+    A line counts only when `_format_checkpoint_line` writes it back from
+    the values read, its rep is a canonical form, its members are exactly
+    the rep's orbit, and the count is the scalar recount of every member's
+    maximizer.  A crash can cut the last line anywhere, and a cut that drops
+    whole members must not parse as a finished class.  Returns rep numeral
+    -> (max_count, stars) with stars keyed by member numeral.
     """
-
-    def numeral(text: str, length: int) -> Optional[int]:
-        if len(text) != length or text.strip("01"):
-            return None
-        return int(text, 2) if text else 0
-
     done: dict[int, tuple[int, dict]] = {}
     if not os.path.exists(path):
         return done
     # a non-ASCII byte becomes U+FFFD, which no field accepts
     with open(path, "r", encoding="ascii", errors="replace") as fh:
         for line in fh:
-            # fixed `rep count member:x ...` layout; the m = 0 rep is empty
-            parts = line.rstrip("\n").split(" ")
-            rep = numeral(parts[0], m)
-            if rep is None or len(parts) < 3 or not parts[1].isdigit():
+            text = line.rstrip("\n")
+            try:
+                # the m = 0 rep and member are empty
+                rep_text, count_text, *members = text.split(" ")
+                rep, count = int(rep_text or "0", 2), int(count_text)
+                pairs = (member.split(":") for member in members)
+                stars = {int(y or "0", 2): int(x or "0", 2) for y, x in pairs}
+                if _format_checkpoint_line(rep, count, stars, m, n) != text:
+                    continue
+            except ValueError:
                 continue
-            count = int(parts[1])
             orbit = {int(v) for v in _orbit(rep, m)}
-            stars = {}
-            for pair in parts[2:]:
-                member, _, x = pair.partition(":")
-                stars[numeral(member, m)] = numeral(x, n)
-            if rep != min(orbit) or set(stars) != orbit or None in stars.values():
+            if rep != min(orbit) or set(stars) != orbit:
                 continue
             if any(
                 count_deletion_patterns(BinarySequence(x, n), BinarySequence(y, m)) != count
@@ -396,12 +384,14 @@ def _open_checkpoint(path: str):
     return fh
 
 
-def _check_search(n: int, m: int) -> None:
-    """Reject an output length outside [0, n] and a search past the cap."""
+def _check_search(n: int, m: int, threads: int = 1) -> None:
+    """Reject m outside [0, n], then a search past the cap, then threads < 1."""
     if not 0 <= m <= n:
         raise ValueError(f"output length {m} outside [0, {n}]")
     if n > VECTOR_MAX_N:
         raise CapExceededError(f"search capped at n <= {VECTOR_MAX_N}, got {n}")
+    if threads < 1:
+        raise ValueError("thread count must be >= 1")
 
 
 def mdm_table(
@@ -419,7 +409,7 @@ def mdm_table(
     completed class per line and lets an interrupted sweep resume without
     changing the final table.
     """
-    _check_search(n, m)
+    _check_search(n, m, threads)
     canon, reps = _classes(m)
 
     solved: dict[int, tuple[int, dict]] = {}
@@ -461,7 +451,7 @@ def sum_max_counts(n: int, m: int, threads: int = 1) -> int:
     This is the log argument of the maximum-likelihood capacity bound; only
     class maxima are searched, weighted by orbit size.
     """
-    _check_search(n, m)
+    _check_search(n, m, threads)
     canon, reps = _classes(m)
     sizes = np.bincount(canon).tolist()
     return sum(sizes[rep] * max_count for rep, max_count, _ in _map_classes(reps, m, n, threads))
@@ -489,15 +479,18 @@ def duplication_ratios(n: int, F: int) -> dict[int, Fraction]:
     }
 
 
+def ratio_minimizer(ratios: dict[int, Fraction], m: int) -> tuple[BinarySequence, Fraction]:
+    """Minimizing y of one `duplication_ratios` sweep over {0,1}^m and its exact
+    ratio; ties go to the smallest numeral y, the first minimal rep."""
+    rep = min(ratios, key=ratios.get)
+    return BinarySequence(rep, m), ratios[rep]
+
+
 def min_duplication_ratio(n: int, F: int) -> tuple[BinarySequence, float]:
     """Minimizing y of the duplication ratio over {0,1}^(n/F) and its ratio.
-
-    Requires F to divide n.  Ties go to the smallest numeral y, the first
-    minimal rep of `duplication_ratios` (each rep is its class's smallest).
-    """
-    ratios = duplication_ratios(n, F)
-    rep = min(ratios, key=ratios.get)
-    return BinarySequence(rep, n // F), float(ratios[rep])
+    Requires F to divide n."""
+    y, ratio = ratio_minimizer(duplication_ratios(n, F), n // F)
+    return y, float(ratio)
 
 
 def flip_sequence(m: int) -> BinarySequence:

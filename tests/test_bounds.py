@@ -1,6 +1,7 @@
 """Tests for the closed-form and numeric channel bounds."""
 
 import math
+import warnings
 
 import pytest
 
@@ -183,6 +184,13 @@ def test_explicit_approx_values():
     assert explicit_approx(0.999) > 0.0
     with pytest.warns(UserWarning):
         explicit_approx(0.3)
+    # an out-of-range d is rejected before the d < 1/2 caveat
+    for bad in (0.0, 1.5):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError):
+                explicit_approx(bad)
+        assert caught == [], bad
 
 
 def test_reference_golden_values():

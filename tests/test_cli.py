@@ -208,6 +208,22 @@ def test_bounds_rejects_non_finite_grid(tmp_path, capsys):
         assert "finite" in capsys.readouterr().err, grid
 
 
+def test_grid_past_point_cap_raises_before_building():
+    # 8e9 and 1e300 points: building either list would exhaust memory
+    for grid in ("0.1:0.9:1e-10", "0:1:1e-300", "0:1:0.000001"):
+        with pytest.raises(cli.CapExceededError):
+            cli._parse_grid(grid)
+    assert len(cli._parse_grid("0.000001:0.999999:0.000001")) == 999_999
+
+
+def test_bounds_grid_past_point_cap_exits_3(tmp_path, capsys):
+    out = tmp_path / "g.csv"
+    argv = ["bounds", "--channel", "bec", "--d-grid", "0.1:0.9:1e-10", "--output", str(out)]
+    assert run(argv) == 3
+    assert "exceeds" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bounds_bdc_kinds_and_order(tmp_path):
     out = tmp_path / "bdc.csv"
     assert (

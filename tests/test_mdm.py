@@ -209,6 +209,9 @@ def test_thread_count_must_be_positive(tmp_path):
     assert not path.exists()
     with pytest.raises(ValueError):
         sum_max_counts(8, 4, threads=0)
+    # the cap is checked before the thread count
+    with pytest.raises(CapExceededError):
+        mdm_table(25, 4, threads=0)
 
 
 def _serial_pools(monkeypatch, cpus):
@@ -361,6 +364,28 @@ def test_frozen_checkpoint_resumes_to_same_table_and_bytes(tmp_path):
     # the m = 0 line has an empty rep and member
     path.write_text(" 1 :000000000\n")
     assert _parse_checkpoint(str(path), 9, 0) == {0: (1, {0: 0})}
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        # members out of numeral order
+        "0101 16 1010:11001100 0101:00101011",
+        # the count with a leading zero or a sign
+        "0011 036 0011:00001111 1100:11110000",
+        "0011 +36 0011:00001111 1100:11110000",
+        # a member written twice
+        "0011 36 0011:00001111 0011:00001111 1100:11110000",
+    ],
+)
+def test_checkpoint_skips_lines_the_search_never_writes(tmp_path, line):
+    # true values in a layout other than the one `_format_checkpoint_line` writes
+    path = tmp_path / "progress.ckpt"
+    path.write_text(line + "\n")
+    assert _parse_checkpoint(str(path), 8, 4) == {}
+    assert mdm_table(8, 4, checkpoint_path=str(path)).rows == mdm_table(8, 4).rows
+    # the line's class is solved again, so every class is appended
+    assert path.read_text() == line + "\n" + PARENT_CHECKPOINT_8_4
 
 
 def test_duplication_ratio_exact_fraction():
