@@ -257,11 +257,16 @@ def _map_classes(reps: list, m: int, n: int, threads: int, ties: bool = False):
 
     The reps, numerals of length m, go in chunks of at most one table batch
     (`split_batch`), and to up to `threads` processes, no more than there
-    are CPUs or chunks.  `_solve_class` is looked up at call time, so a
-    wrapper installed on the module (a tracer, say) is what runs.
+    are chunks or CPUs this process may run on (its affinity mask where the
+    platform has one, else every CPU).  `_solve_class` is looked up at call
+    time, so a wrapper installed on the module (a tracer, say) is what runs.
     """
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
     # a worker per CPU at most, so the chunks follow the capped count too
-    threads = min(threads, os.cpu_count() or 1)
+    threads = min(threads, cpus)
     size = min(split_batch(n, m), -(-len(reps) // threads)) or 1  # 0 when reps is empty
     chunks = [reps[i : i + size] for i in range(0, len(reps), size)]
     if threads == 1 or len(chunks) < 2:
@@ -283,39 +288,32 @@ def _solve_class(reps: list, m: int, n: int, ties: bool = False) -> list[tuple[i
     (rep, max_count, stars) per rep numeral, in order.
 
     The chunk's split tables are built once; each class's counts arrive in
-    blocks that are reduced to the running maximum.  With ties the blocks
-    also keep the four extremes of the argmax set, the smallest and largest
-    numeral plain and bit-reversed, and stars maps every orbit member's
-    numeral to the numeral of its smallest maximizer: the maximizer set of
-    a complemented or reversed output is the complemented or reversed set.
+    blocks that are reduced to the running maximum.  With ties stars maps
+    every orbit member's numeral to the numeral of its smallest maximizer.
+    Complement and reversal g keep #(g x, g y) = #(x, y), so the maximizer
+    set of member g y is g applied to the rep's: `_orbit` of the rep's
+    argmax numerals lists those sets in the order `_orbit` of the rep lists
+    the members, and each block keeps the running minimum of each set.
     Without ties stars is empty.
     """
     best = [-1] * len(reps)
-    # per class, as minima: smallest numeral, minus the largest, and the
-    # same two for the bit-reversed numerals
-    ends: list = [None] * len(reps)
+    picks: list = [None] * len(reps)
     for first, x0, block in split_counts(reps, m, n):
         for c, row in enumerate(block, first):
             top = int(row.max())
             if top < best[c]:
                 continue
             if ties:
-                arg = np.flatnonzero(row == top) + x0
-                rev = _bit_reverse(arg, n)
-                found = (int(arg[0]), -int(arg[-1]), int(rev.min()), -int(rev.max()))
-                ends[c] = tuple(map(min, ends[c], found)) if top == best[c] else found
+                found = [int(s.min()) for s in _orbit(np.flatnonzero(row == top) + x0, n)]
+                picks[c] = list(map(min, picks[c], found)) if top == best[c] else found
             best[c] = top
     if not ties:
         return [(rep, top, {}) for rep, top in zip(reps, best)]
-    full = (1 << n) - 1
     members = np.stack(_orbit(reps, m), axis=1).tolist()
-    out = []
-    for rep, top, orbit, (low, minus_high, rev_low, minus_rev_high) in zip(reps, best, members, ends):
-        # complement maps numeral v to full - v, reversing the order; members
-        # that coincide have the same maximizer set, so the same pick
-        picks = (low, full + minus_high, rev_low, full + minus_rev_high)
-        out.append((rep, top, dict(zip(orbit, picks))))
-    return out
+    return [
+        (rep, top, dict(zip(orbit, pick)))
+        for rep, top, orbit, pick in zip(reps, best, members, picks)
+    ]
 
 
 # the benchmark tracer wraps this name too; the sum takes the same solve

@@ -28,8 +28,8 @@ from delcap import (
     sum_max_counts,
 )
 from delcap import patcount
-from delcap.mdm import _classes, _format_checkpoint_line, _parse_checkpoint, _solve_class
-from oracle_utils import prefix_walk_counts, text_dup_estimate, walk_table
+from delcap.mdm import _classes, _format_checkpoint_line, _orbit, _parse_checkpoint, _solve_class
+from oracle_utils import flip_text, prefix_walk_counts, text_dup_estimate, walk_table
 
 # frozen by two independent routes: the vectorized sweep and per-pair
 # subset enumeration, cross-checked under reversal/complement symmetry
@@ -75,10 +75,11 @@ def test_small_table_frozen_counts():
 
 
 def test_x_star_is_smallest_numeral_argmax():
-    # every orbit member's maximizer is derived from the rep's count vector
+    # every orbit member's maximizer is derived from the rep's count vector;
+    # from n = 14 a class's counts arrive in several row blocks, and from
+    # n = 17 maximizer numerals span three bytes
     rng = random.Random(31)
-    for _ in range(40):
-        n = rng.randint(2, 11)
+    for n in [rng.randint(2, 11) for _ in range(40)] + list(range(14, 19)) * 4:
         m = rng.randint(1, n)
         y = BinarySequence.from_numeral(rng.getrandbits(m), m)
         [(_, max_count, stars)] = _solve_class([y.bits], m, n, ties=True)
@@ -194,6 +195,17 @@ def test_class_sweep_matches_canonical_form(case):
     assert _canon(m)[v] == canonical_form(BinarySequence(v, m)).bits
 
 
+def test_orbit_matches_text_complement_and_reversal():
+    # the sweep above stops at m = 20; maximizers reach VECTOR_MAX_N bits
+    rng = random.Random(36)
+    for n in range(patcount.VECTOR_MAX_N + 1):
+        vs = [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(4)]
+        for v, members in zip(vs, zip(*_orbit(vs, n))):
+            text = BinarySequence(v, n).to_string()
+            want = [text, flip_text(text), text[::-1], flip_text(text[::-1])]
+            assert [BinarySequence(int(w), n).to_string() for w in members] == want
+
+
 def test_table_threads_equivalence():
     one = mdm_table(11, 5, threads=1)
     four = mdm_table(11, 5, threads=4)
@@ -216,7 +228,8 @@ def test_thread_count_must_be_positive(tmp_path):
 
 def _serial_pools(monkeypatch, cpus):
     """Swap in a serial stand-in pool that records its requests, on a
-    machine that reports `cpus` CPUs; no worker process starts."""
+    machine that reports `cpus` CPUs, all of them usable by this process;
+    no worker process starts."""
     pools = []
 
     class SerialPool:
@@ -237,6 +250,7 @@ def _serial_pools(monkeypatch, cpus):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     return pools
 
 
@@ -258,6 +272,15 @@ def test_pool_workers_capped_at_cpu_count(monkeypatch):
     [pool] = pools
     assert pool.max_workers == 4
     assert total == sum_max_counts(12, 12, threads=1) == 1 << 12
+
+
+def test_pool_workers_capped_at_usable_cpus(monkeypatch):
+    # pinned to one of the machine's four CPUs, workers would share it
+    pools = _serial_pools(monkeypatch, cpus=4)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    total = sum_max_counts(12, 6, threads=8)
+    assert pools == []
+    assert total == sum_max_counts(12, 6, threads=1)
 
 
 def test_table_rows_sorted_and_complete():
