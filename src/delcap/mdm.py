@@ -19,11 +19,14 @@ runs, or drop the integrality requirement altogether by moving to Gamma
 functions.
 `dup_sum` sums the estimate over all y of one length by a recurrence over
 runs, which is what the duplication bound of `bounds` takes the log of.
+The estimate and both recurrences read one cached table of run weights per
+(n, m, approach), `_run_weights`.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -74,23 +77,29 @@ class MdmTable:
     rows: list
 
 
-def _run_weight(n: int, m: int, approach: DupApproach):
-    """w(l, e): the ways an l-run of y embeds in its stretched run.
+@functools.cache
+def _run_weights(n: int, m: int, approach: DupApproach) -> tuple:
+    """w[l][e]: the ways an l-run of y embeds in its stretched run, 0 <= l <= m.
 
     The stretched run has l*base + e bits, base = n // m and e of the
-    leftover bits, so w = C(l*base + e, l).  Candidate and y have equally
-    many runs, so the i-th run of y can only land in the i-th stretched run
-    and a candidate's count is the product of w over the runs of y.  The
-    Gamma estimate of a fractional F = n / m generalizes C(l*F, l) to
-    Gamma(l*F+1) / (Gamma(l+1) Gamma(l*F-l+1)) and ignores e.
+    leftover bits, 0 <= e <= min(l, n % m), so w[l][e] = C(l*base + e, l).
+    Candidate and y have equally many runs, so the i-th run of y can only
+    land in the i-th stretched run and a candidate's count is the product of
+    w over the runs of y.  The Gamma estimate of a fractional F = n / m
+    generalizes C(l*F, l) to Gamma(l*F+1) / (Gamma(l+1) Gamma(l*F-l+1)) and
+    ignores e: its rows hold the one column e = 0.  `dup_estimate` and both
+    `dup_sum` recurrences read this one table.
     """
     base, extra = divmod(n, m)
     if extra and approach is DupApproach.GAMMA:
         F = n / m
-        return lambda l, _e: math.exp(
-            math.lgamma(l * F + 1) - math.lgamma(l + 1) - math.lgamma(l * F - l + 1)
+        return tuple(
+            (math.exp(math.lgamma(l * F + 1) - math.lgamma(l + 1) - math.lgamma(l * F - l + 1)),)
+            for l in range(m + 1)
         )
-    return lambda l, e: math.comb(l * base + e, l)
+    return tuple(
+        tuple(math.comb(l * base + e, l) for e in range(min(l, extra) + 1)) for l in range(m + 1)
+    )
 
 
 def dup_estimate(
@@ -117,10 +126,10 @@ def dup_estimate(
         # only the all-deleting pattern; the candidate slot still needs length n
         return BinarySequence(0, n), 1
     base, extra = divmod(n, m)
-    weight = _run_weight(n, m, approach)
+    w = _run_weights(n, m, approach)
     run_list = runs(y)
     if extra and approach is DupApproach.GAMMA:
-        return None, math.prod(weight(l, 0) for _, l in run_list)
+        return None, math.prod(w[l][0] for _, l in run_list)
     if approach is DupApproach.ASSIGN_TO_LAST:
         order = range(len(run_list) - 1, -1, -1)
     else:
@@ -135,7 +144,7 @@ def dup_estimate(
     for (v, l), e in zip(run_list, bonus):
         stretch = l * base + e
         x = (x << stretch) | ((1 << stretch) - 1 if v else 0)
-        count *= weight(l, e)
+        count *= w[l][e]
     return BinarySequence(x, n), count
 
 
@@ -149,22 +158,26 @@ def dup_sum(n: int, m: int, approach: DupApproach) -> Union[int, float]:
     """
     if not 1 <= m <= n:
         raise ValueError(f"output length {m} outside [1, {n}]")
-    base, extra = divmod(n, m)
+    extra = n % m
+    w = _run_weights(n, m, approach)
     if extra and approach is DupApproach.ASSIGN_BY_LENGTH:
-        return _dup_sum_assign_by_length(m, base, extra)
+        return _dup_sum_assign_by_length(m, extra, w)
     if approach is DupApproach.GAMMA:
         extra = 0
-    return _dup_sum_assign_to_last(m, extra, _run_weight(n, m, approach))
+    return _dup_sum_assign_to_last(m, extra, w)
 
 
-def _dup_sum_assign_to_last(m: int, extra: int, weight):
-    """sum over y in {0,1}^m of the product over the runs of y of weight(l, e).
+def _dup_sum_assign_to_last(m: int, extra: int, w: tuple):
+    """sum over y in {0,1}^m of the product over the runs of y of w[l][e].
 
     e is the number of the `extra` leftover bits handed to an l-run, trailing
     runs first.  Peeling runs from the end keeps the handout deterministic:
-    the final run takes e = min(left, l), so the state is (remaining length,
-    leftover bits) and g(t, r) = sum_l weight(l, e) g(t-l, r-e); the factor
-    2 counts the starting bit, after which run values are forced.
+    the final run takes e = min(r, l), so the state is (remaining length,
+    leftover bits) and h(t, r) = sum_l w[l][e] h(t-l, r-e); the factor
+    2 counts the starting bit, after which run values are forced.  Gamma
+    weights are floats, so the terms are added in ascending l to an int 0
+    one at a time, never by `sum`, whose float rounding differs across
+    Python versions.
     """
     h = [[0] * (extra + 1) for _ in range(m + 1)]
     h[0][0] = 1
@@ -172,13 +185,13 @@ def _dup_sum_assign_to_last(m: int, extra: int, weight):
         for r in range(extra + 1):
             acc = 0
             for l in range(1, t + 1):
-                e = min(r, l)
-                acc += weight(l, e) * h[t - l][r - e]
+                e = r if r < l else l
+                acc += w[l][e] * h[t - l][r - e]
             h[t][r] = acc
     return 2 * h[m][extra]
 
 
-def _dup_sum_assign_by_length(m: int, base: int, extra: int):
+def _dup_sum_assign_by_length(m: int, extra: int, w: tuple) -> int:
     """Longest-runs assignment summed over all y, exactly.
 
     The handout depends only on the sorted run lengths, so a DP takes the
@@ -187,27 +200,30 @@ def _dup_sum_assign_by_length(m: int, base: int, extra: int):
     once the parts chosen so far cover s = m - t bits of y the leftover is
     max(0, extra - s): it is implied by t and is not part of the state.
     The state is (t remaining, k parts so far); each added l-part multiplies
-    the weight by the run weight C(l*base + e, l) with e = min(left, l)
-    (written out: this DP only ever uses the binomial weight, and a call per
-    part slows its innermost loop), and adding a parts to k multiplies the
-    orderings by C(k+a, a), whose product over lengths is k!/prod(a_l!).
+    the weight by the run weight w[l][e] with e = min(left, l), and adding a
+    parts to k multiplies the orderings by C(k+a, a), read from a Pascal
+    table, whose product over lengths is k!/prod(a_l!).
     Updating in place with t ascending is safe: a step only writes to
     smaller t, already read this round.
     """
+    # k parts so far plus a new ones never exceed the m bits of y
+    pascal = [[math.comb(k + a, a) for a in range(m + 1 - k)] for k in range(m + 1)]
     g = [[0] * (m + 1) for _ in range(m + 1)]
     g[m][0] = 1
     for l in range(m, 0, -1):
+        wl = w[l]
         for t in range(l, m + 1):
+            top = max(0, extra - (m - t))
             for k in range(m - t + 1):
                 acc = g[t][k]
                 if not acc:
                     continue
-                left = max(0, extra - (m - t))
+                left, ck = top, pascal[k]
                 for a in range(1, t // l + 1):
-                    e = min(left, l)
+                    e = left if left < l else l
                     left -= e
-                    acc *= math.comb(l * base + e, l)
-                    g[t - a * l][k + a] += acc * math.comb(k + a, a)
+                    acc *= wl[e]
+                    g[t - a * l][k + a] += acc * ck[a]
     return 2 * sum(g[0])
 
 

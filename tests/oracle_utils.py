@@ -16,6 +16,11 @@ slow references the new paths must agree with:
 - `partition_dup_sum_assign_by_length`, the partition enumeration that the
   run-length DP `delcap.mdm._dup_sum_assign_by_length` replaced
   (exactly);
+- `lambda_dup_sum` with `lambda_run_weight`,
+  `lambda_dup_sum_assign_to_last` and `lambda_dup_sum_assign_by_length`,
+  the duplication-sum recurrences that called a weight function per term,
+  which the cached run-weight table `delcap.mdm._run_weights` replaced
+  (exactly, the Gamma floats bit for bit);
 - `text_dup_estimate` with `dup_count_formula`, `build_dup_sequence` and
   `approximate_dup_sequence`, the duplication candidate built as text and
   recounted with the scalar DP, which `delcap.mdm.dup_estimate` replaced
@@ -310,6 +315,97 @@ def partition_dup_sum_assign_by_length(m: int, base: int, extra: int):
             arrangements //= math.factorial(a)
         total += 2 * arrangements * weight
     return total
+
+
+def lambda_run_weight(n: int, m: int, approach: DupApproach):
+    """w(l, e): the ways an l-run of y embeds in its stretched run.
+
+    The stretched run has l*base + e bits, base = n // m and e of the
+    leftover bits, so w = C(l*base + e, l).  Candidate and y have equally
+    many runs, so the i-th run of y can only land in the i-th stretched run
+    and a candidate's count is the product of w over the runs of y.  The
+    Gamma estimate of a fractional F = n / m generalizes C(l*F, l) to
+    Gamma(l*F+1) / (Gamma(l+1) Gamma(l*F-l+1)) and ignores e.
+    """
+    base, extra = divmod(n, m)
+    if extra and approach is DupApproach.GAMMA:
+        F = n / m
+        return lambda l, _e: math.exp(
+            math.lgamma(l * F + 1) - math.lgamma(l + 1) - math.lgamma(l * F - l + 1)
+        )
+    return lambda l, e: math.comb(l * base + e, l)
+
+
+def lambda_dup_sum(n: int, m: int, approach: DupApproach) -> Union[int, float]:
+    """The `dup_estimate` count summed over all y in {0,1}^m, by recurrence.
+
+    Two recurrences, because the two handouts depend on different things:
+    assign-to-last on the order of the runs, assign-by-length only on the
+    sorted multiset of their lengths.  Integer factors and the Gamma
+    estimate hand out nothing and take the first.
+    """
+    if not 1 <= m <= n:
+        raise ValueError(f"output length {m} outside [1, {n}]")
+    base, extra = divmod(n, m)
+    if extra and approach is DupApproach.ASSIGN_BY_LENGTH:
+        return lambda_dup_sum_assign_by_length(m, base, extra)
+    if approach is DupApproach.GAMMA:
+        extra = 0
+    return lambda_dup_sum_assign_to_last(m, extra, lambda_run_weight(n, m, approach))
+
+
+def lambda_dup_sum_assign_to_last(m: int, extra: int, weight):
+    """sum over y in {0,1}^m of the product over the runs of y of weight(l, e).
+
+    e is the number of the `extra` leftover bits handed to an l-run, trailing
+    runs first.  Peeling runs from the end keeps the handout deterministic:
+    the final run takes e = min(left, l), so the state is (remaining length,
+    leftover bits) and g(t, r) = sum_l weight(l, e) g(t-l, r-e); the factor
+    2 counts the starting bit, after which run values are forced.
+    """
+    h = [[0] * (extra + 1) for _ in range(m + 1)]
+    h[0][0] = 1
+    for t in range(1, m + 1):
+        for r in range(extra + 1):
+            acc = 0
+            for l in range(1, t + 1):
+                e = min(r, l)
+                acc += weight(l, e) * h[t - l][r - e]
+            h[t][r] = acc
+    return 2 * h[m][extra]
+
+
+def lambda_dup_sum_assign_by_length(m: int, base: int, extra: int):
+    """Longest-runs assignment summed over all y, exactly.
+
+    The handout depends only on the sorted run lengths, so a DP takes the
+    run lengths l = m, m-1, ..., 1 in turn and decides how many parts a of
+    length l the run multiset has.  Extras go to the longest runs first, so
+    once the parts chosen so far cover s = m - t bits of y the leftover is
+    max(0, extra - s): it is implied by t and is not part of the state.
+    The state is (t remaining, k parts so far); each added l-part multiplies
+    the weight by the run weight C(l*base + e, l) with e = min(left, l)
+    (written out: this DP only ever uses the binomial weight, and a call per
+    part slows its innermost loop), and adding a parts to k multiplies the
+    orderings by C(k+a, a), whose product over lengths is k!/prod(a_l!).
+    Updating in place with t ascending is safe: a step only writes to
+    smaller t, already read this round.
+    """
+    g = [[0] * (m + 1) for _ in range(m + 1)]
+    g[m][0] = 1
+    for l in range(m, 0, -1):
+        for t in range(l, m + 1):
+            for k in range(m - t + 1):
+                acc = g[t][k]
+                if not acc:
+                    continue
+                left = max(0, extra - (m - t))
+                for a in range(1, t // l + 1):
+                    e = min(left, l)
+                    left -= e
+                    acc *= math.comb(l * base + e, l)
+                    g[t - a * l][k + a] += acc * math.comb(k + a, a)
+    return 2 * sum(g[0])
 
 
 def dup_count_formula(y: BinarySequence, F: int) -> int:

@@ -23,7 +23,7 @@ from delcap import (
     runs,
     typical_output_length,
 )
-from delcap.mdm import _dup_sum_assign_by_length, dup_estimate
+from delcap.mdm import _dup_sum_assign_by_length, _run_weights, dup_estimate
 from oracle_utils import expected_runs, expected_runs_exact, mu_d
 from oracle_utils import partition_dup_sum_assign_by_length
 
@@ -110,11 +110,18 @@ def test_dup_bound_below_raw_for_realizable_approaches():
             assert bdc_dup_bound_n(n, d, approach) <= raw + 1e-12
 
 
+def _assign_by_length(m, base, extra):
+    """The assign-by-length DP on the run weights of n = m*base + extra;
+    m = 0 has no weight table (no run), so it gets the empty run's row."""
+    w = _run_weights(m * base + extra, m, DupApproach.ASSIGN_BY_LENGTH) if m else ((1,),)
+    return _dup_sum_assign_by_length(m, extra, w)
+
+
 def test_assign_by_length_dp_matches_partition_enumeration():
     for m in range(23):
         for extra in range(max(m, 1)):
             for base in (1, 2, 3):
-                assert _dup_sum_assign_by_length(
+                assert _assign_by_length(
                     m, base, extra
                 ) == partition_dup_sum_assign_by_length(m, base, extra), (m, base, extra)
 
@@ -137,7 +144,7 @@ def test_dup_bound_large_n_runs():
     for d, (m, base, extra, total) in LARGE_N_ASSIGN_BY_LENGTH.items():
         assert typical_output_length(63, d) == m
         assert divmod(63, m) == (base, extra)
-        assert _dup_sum_assign_by_length(m, base, extra) == total
+        assert _assign_by_length(m, base, extra) == total
         assert bdc_dup_bound_n(63, d, DupApproach.ASSIGN_BY_LENGTH) == math.log2(total) / 63
 
 

@@ -19,6 +19,7 @@ from delcap import (
     canonical_form,
     count_deletion_patterns,
     dup_estimate,
+    dup_sum,
     duplication_ratio,
     flip_sequence,
     is_alternating,
@@ -29,7 +30,13 @@ from delcap import (
 )
 from delcap import patcount
 from delcap.mdm import _classes, _format_checkpoint_line, _orbit, _parse_checkpoint, _solve_class
-from oracle_utils import flip_text, prefix_walk_counts, text_dup_estimate, walk_table
+from oracle_utils import (
+    flip_text,
+    lambda_dup_sum,
+    prefix_walk_counts,
+    text_dup_estimate,
+    walk_table,
+)
 
 # frozen by two independent routes: the vectorized sweep and per-pair
 # subset enumeration, cross-checked under reversal/complement symmetry
@@ -164,6 +171,28 @@ def test_dup_estimate_matches_text_built_recount():
                         assert count == pytest.approx(want_count, rel=1e-12, abs=0)
                     else:
                         assert count == count_deletion_patterns(x, y), (y, n, approach)
+
+
+def test_dup_sum_matches_lambda_weight_oracle():
+    # same value and type as the recurrences that called a weight function
+    # per term; the Gamma floats bit for bit, since the terms are added in
+    # the same order
+    for n in list(range(1, 41)) + [50, 63]:
+        for m in range(1, n + 1):
+            for approach in DupApproach:
+                got, want = dup_sum(n, m, approach), lambda_dup_sum(n, m, approach)
+                assert type(got) is type(want), (n, m, approach)
+                assert got == want, (n, m, approach)
+
+
+def test_dup_sum_is_exact_sum_of_estimates():
+    for n in range(1, 15):
+        for m in range(1, n + 1):
+            for approach in (DupApproach.ASSIGN_TO_LAST, DupApproach.ASSIGN_BY_LENGTH):
+                counts = [dup_estimate(y, n, approach)[1] for y in all_sequences(m)]
+                assert all(type(c) is int for c in counts)
+                got = dup_sum(n, m, approach)
+                assert type(got) is int and got == sum(counts), (n, m, approach)
 
 
 def test_gamma_approach_fractional_value():
