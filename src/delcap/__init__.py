@@ -19,7 +19,6 @@ from .bitseq import (
     BinarySequence,
     CapExceededError,
     all_sequences,
-    canonical_form,
     runs,
 )
 from .bounds import (
@@ -40,6 +39,7 @@ from .mdm import (
     DupApproach,
     MdmResult,
     MdmTable,
+    canonical_form,
     dup_estimate,
     dup_sum,
     duplication_ratio,

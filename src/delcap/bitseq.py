@@ -72,17 +72,6 @@ def runs(y: BinarySequence) -> list[tuple[int, int]]:
     return [(v, len(list(run))) for v, run in itertools.groupby(y)]
 
 
-def canonical_form(y: BinarySequence) -> BinarySequence:
-    """Numeral-minimal member of the orbit {y, ~y, rev y, ~rev y}; idempotent.
-
-    Pattern counts are invariant under complement and reversal, so this orbit
-    is the symmetry class the search modules reduce over.
-    """
-    mask = (1 << y.length) - 1
-    r = int(y.to_string()[::-1] or "0", 2)
-    return BinarySequence(min(y.bits, y.bits ^ mask, r, r ^ mask), y.length)
-
-
 def all_sequences(length: int) -> Iterator[BinarySequence]:
     """All sequences of the given length in ascending numeral order."""
     for v in range(1 << length):

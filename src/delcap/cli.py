@@ -94,12 +94,6 @@ def cmd_count(args) -> int:
     return 0
 
 
-def _format_dup(dup) -> str:
-    if isinstance(dup, float):
-        return f"{dup:.6f}"
-    return str(dup)
-
-
 def cmd_mdm_table(args) -> int:
     table = mdm_table(
         args.n,
@@ -117,7 +111,7 @@ def cmd_mdm_table(args) -> int:
                 row.x_star.to_string(),
                 str(row.max_count),
                 "" if row.x_dup is None else row.x_dup.to_string(),
-                _format_dup(row.dup_count),
+                f"{row.dup_count:.6f}" if isinstance(row.dup_count, float) else str(row.dup_count),
                 f"{row.ratio:.5f}",
             ]
             for row in table.rows

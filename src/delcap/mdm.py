@@ -37,7 +37,6 @@ from typing import Optional, Union
 import numpy as np
 
 from .bitseq import MAX_LEN, BinarySequence, CapExceededError, runs
-from .bitseq import canonical_form  # noqa: F401  (the benchmark tracer wraps this name)
 from .patcount import VECTOR_MAX_N, count_deletion_patterns, split_batch, split_counts
 from .patcount import counts_for_all_inputs  # noqa: F401  (the benchmark tracer wraps this name)
 
@@ -233,13 +232,17 @@ _REVERSED_BYTE = np.array([sum(((v >> b) & 1) << (7 - b) for b in range(8)) for 
 
 
 def _bit_reverse(values: np.ndarray, n: int) -> np.ndarray:
-    """The n-bit numerals in values with their bit order reversed."""
+    """The n-bit numerals in values with their bit order reversed, n <= 63.
+
+    The lowest 1 to 8 bits go first and whole bytes after them, so no
+    partial result is wider than n bits and int64 holds every one.
+    """
     v = np.asarray(values, dtype=np.int64)
-    out = np.zeros_like(v)
-    for shift in range(0, n, 8):
+    low = (n - 1) % 8 + 1
+    out = _REVERSED_BYTE[v & ((1 << low) - 1)] >> (8 - low)
+    for shift in range(low, n, 8):
         out = (out << 8) | _REVERSED_BYTE[(v >> shift) & 255]
-    # the last byte holds fewer than 8 of the n bits when 8 does not divide n
-    return out >> (-n % 8)
+    return out
 
 
 def _orbit(ys, m: int) -> tuple:
@@ -252,6 +255,15 @@ def _orbit(ys, m: int) -> tuple:
     full = (1 << m) - 1
     r = _bit_reverse(y, m)
     return y, full - y, r, full - r
+
+
+def canonical_form(y: BinarySequence) -> BinarySequence:
+    """Numeral-minimal member of the orbit {y, ~y, rev y, ~rev y}; idempotent.
+
+    Pattern counts are invariant under complement and reversal, so this orbit
+    is the symmetry class the search reduces over.
+    """
+    return BinarySequence(min(map(int, _orbit(y.bits, len(y)))), len(y))
 
 
 def _classes(m: int) -> tuple[np.ndarray, list[int]]:
@@ -509,7 +521,7 @@ def min_duplication_ratio(n: int, F: int) -> tuple[BinarySequence, float]:
 
 def flip_sequence(m: int) -> BinarySequence:
     """The alternating sequence 0101... of length m."""
-    return BinarySequence.from_string("".join("01"[i % 2] for i in range(m)))
+    return BinarySequence(((1 << m) - 1) // 3, m)
 
 
 def is_alternating(y: BinarySequence) -> bool:

@@ -21,6 +21,9 @@ slow references the new paths must agree with:
   the duplication-sum recurrences that called a weight function per term,
   which the cached run-weight table `delcap.mdm._run_weights` replaced
   (exactly, the Gamma floats bit for bit);
+- `text_canonical_form`, the orbit minimum built from the sequence text,
+  which `delcap.mdm.canonical_form`, the minimum of `delcap.mdm._orbit`,
+  replaced (exactly);
 - `text_dup_estimate` with `dup_count_formula`, `build_dup_sequence` and
   `approximate_dup_sequence`, the duplication candidate built as text and
   recounted with the scalar DP, which `delcap.mdm.dup_estimate` replaced
@@ -70,6 +73,13 @@ _FLIP = str.maketrans("01", "10")
 
 def flip_text(text: str) -> str:
     return text.translate(_FLIP)
+
+
+def text_canonical_form(y: BinarySequence) -> BinarySequence:
+    """Numeral-minimal member of {y, ~y, rev y, ~rev y}, built from the text."""
+    mask = (1 << y.length) - 1
+    r = int(y.to_string()[::-1] or "0", 2)
+    return BinarySequence(min(y.bits, y.bits ^ mask, r, r ^ mask), y.length)
 
 
 def combo_positions(n: int, m: int) -> np.ndarray:

@@ -23,6 +23,7 @@ from delcap import (
     runs,
     typical_output_length,
 )
+from delcap.bitseq import MAX_LEN
 from delcap.mdm import _dup_sum_assign_by_length, _run_weights, dup_estimate
 from oracle_utils import expected_runs, expected_runs_exact, mu_d
 from oracle_utils import partition_dup_sum_assign_by_length
@@ -55,6 +56,13 @@ def test_bsc_finite_check_gap_shrinks():
     assert gaps[1] == pytest.approx(0.12524, abs=1e-4)
     assert gaps[2] == pytest.approx(0.06309, abs=1e-4)
     assert gaps[0] > gaps[1] > gaps[2] > 0.0
+
+
+def test_finite_checks_share_the_sequence_length_cap():
+    for check in (bec_finite_n_check, bsc_finite_n_check):
+        assert 0.0 < check(MAX_LEN, 0.5) < 1.0
+        with pytest.raises(ValueError):
+            check(MAX_LEN + 1, 0.5)
 
 
 def test_typical_output_length():

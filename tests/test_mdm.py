@@ -16,7 +16,6 @@ from delcap import (
     CapExceededError,
     DupApproach,
     all_sequences,
-    canonical_form,
     count_deletion_patterns,
     dup_estimate,
     dup_sum,
@@ -25,15 +24,18 @@ from delcap import (
     is_alternating,
     mdm_table,
     min_duplication_ratio,
+    runs,
     stirling_lower_bound,
     sum_max_counts,
 )
 from delcap import patcount
+from delcap.bitseq import MAX_LEN
 from delcap.mdm import _classes, _format_checkpoint_line, _orbit, _parse_checkpoint, _solve_class
 from oracle_utils import (
     flip_text,
     lambda_dup_sum,
     prefix_walk_counts,
+    text_canonical_form,
     text_dup_estimate,
     walk_table,
 )
@@ -221,13 +223,14 @@ def _canon(m):
 @given(st.integers(0, 20).flatmap(lambda m: st.tuples(st.just(m), st.integers(0, (1 << m) - 1))))
 def test_class_sweep_matches_canonical_form(case):
     m, v = case
-    assert _canon(m)[v] == canonical_form(BinarySequence(v, m)).bits
+    assert _canon(m)[v] == text_canonical_form(BinarySequence(v, m)).bits
 
 
 def test_orbit_matches_text_complement_and_reversal():
-    # the sweep above stops at m = 20; maximizers reach VECTOR_MAX_N bits
+    # the sweep above stops at m = 20; maximizers reach VECTOR_MAX_N bits and
+    # `canonical_form` takes the orbit of any sequence, up to MAX_LEN bits
     rng = random.Random(36)
-    for n in range(patcount.VECTOR_MAX_N + 1):
+    for n in range(MAX_LEN + 1):
         vs = [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(4)]
         for v, members in zip(vs, zip(*_orbit(vs, n))):
             text = BinarySequence(v, n).to_string()
@@ -512,3 +515,20 @@ def test_sum_max_counts():
     table = mdm_table(10, 5)
     assert sum_max_counts(10, 5) == sum(r.max_count for r in table.rows)
     assert sum_max_counts(10, 5, threads=2) == sum_max_counts(10, 5, threads=1)
+
+
+def test_sum_closed_forms_and_duplication_bracket():
+    # m = n: y is its own only maximizer; m = n - 1: the best x stretches
+    # a longest run of y by one bit.  The two integer duplication
+    # estimates count feasible inputs, so their sums cannot pass the maxima
+    for n in range(1, 15):
+        assert sum_max_counts(n, n) == 1 << n
+        stretched = sum(max((l for _, l in runs(y)), default=0) + 1 for y in all_sequences(n - 1))
+        assert sum_max_counts(n, n - 1) == stretched, n
+        for m in range(1, n + 1):
+            total = sum_max_counts(n, m)
+            for approach in (DupApproach.ASSIGN_TO_LAST, DupApproach.ASSIGN_BY_LENGTH):
+                assert dup_sum(n, m, approach) <= total, (n, m, approach)
+    # the Gamma estimate counts no input and can pass the sum of the maxima
+    assert dup_sum(5, 3, DupApproach.GAMMA) == pytest.approx(55.185185, rel=0, abs=1e-6)
+    assert sum_max_counts(5, 3) == 52
