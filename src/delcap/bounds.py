@@ -41,6 +41,14 @@ def _check_open_unit(p: float) -> None:
         raise ValueError(f"parameter {p} outside (0, 1)")
 
 
+def _check_block_length(n: int) -> None:
+    """Reject n < 1, then n past the sequence length cap."""
+    if n < 1:
+        raise ValueError(f"block length {n} must be >= 1")
+    if n > MAX_LEN:
+        raise CapExceededError(f"block length {n} exceeds {MAX_LEN}")
+
+
 def bec_bound(p: float) -> float:
     """Erasure channel: the ML bound is tight and equals capacity 1 - p."""
     _check_open_unit(p)
@@ -60,8 +68,7 @@ def bec_finite_n_check(n: int, p: float) -> float:
     With k = ceil(n*p) erasures the bound is (1/n) log 2^(n-k) = (n-k)/n,
     computed as 1 - k/n so that grid-aligned p reproduces 1 - p bit for bit.
     """
-    if not 1 <= n <= MAX_LEN:
-        raise ValueError(f"block length {n} outside [1, {MAX_LEN}]")
+    _check_block_length(n)
     _check_open_unit(p)
     k = _ceil_snap(n * p)
     return 1.0 - k / n
@@ -69,8 +76,7 @@ def bec_finite_n_check(n: int, p: float) -> float:
 
 def bsc_finite_n_check(n: int, p: float) -> float:
     """Finite-n ML bound for the flip channel: (1/n) log(2^n / C(n, ceil(np)))."""
-    if not 1 <= n <= MAX_LEN:
-        raise ValueError(f"block length {n} outside [1, {MAX_LEN}]")
+    _check_block_length(n)
     _check_open_unit(p)
     k = _ceil_snap(n * p)
     return 1.0 - math.log2(math.comb(n, k)) / n

@@ -6,6 +6,10 @@ split pattern-count kernel, one chunk of symmetry classes per table batch.
 Pattern counts are the same on every member of an orbit under complement
 and reversal, so one sweep over all y in {0,1}^m maps each y's numeral to
 its orbit's smallest numeral, the class rep, and only reps are solved.
+Below PRUNE_MIN_N a class's counts are the dense product of its split
+tables; from it on only the rows and columns of that product that can hold
+the maximum are multiplied out (`patcount.pruned_blocks`), which keeps
+every maximizer and so every smallest-numeral tie-break.
 Outputs, reps and maximizers stay numerals throughout; they become text
 only in checkpoint lines.
 The duplication estimate replaces the true maximizer with a candidate
@@ -37,8 +41,17 @@ from typing import Optional, Union
 import numpy as np
 
 from .bitseq import MAX_LEN, BinarySequence, CapExceededError, runs
-from .patcount import VECTOR_MAX_N, count_deletion_patterns, split_batch, split_counts
+from .patcount import VECTOR_MAX_N, count_deletion_patterns, pruned_blocks, split_batch
+from .patcount import split_counts, split_tables
 from .patcount import counts_for_all_inputs  # noqa: F401  (the benchmark tracer wraps this name)
+
+
+# From this input length on a class is solved by the pruned product of its
+# split tables, below it by the dense one.  Per class with ties (2 vCPUs,
+# one BLAS thread) the pruned solve took 1.2-1.3x the dense time at n = 14,
+# 0.98-1.08x at n = 15, 0.66-0.81x at n = 16 and 0.37-0.44x at n = 18,
+# m = 7 (0.35-0.47 against 0.95-1.06 ms).
+PRUNE_MIN_N = 16
 
 
 class DupApproach(str, Enum):
@@ -311,6 +324,27 @@ def _map_classes(reps: list, m: int, n: int, threads: int, ties: bool = False):
             yield from solved
 
 
+def _class_blocks(reps: list, m: int, n: int):
+    """(c, counts, numerals) per block of the counts of reps[c]: counts is
+    a flat array of some of its inputs' counts, and numerals maps positions
+    in counts to those inputs' numerals.
+
+    Below PRUNE_MIN_N the blocks are the dense products of `split_counts`;
+    from it on, the `pruned_blocks` of each class, which hold every
+    maximizer of the class and skip the rows and columns that cannot.
+    """
+    if n < PRUNE_MIN_N:
+        for first, x0, block in split_counts(reps, m, n):
+            for c, row in enumerate(block, first):
+                yield c, row, lambda at, x0=x0: at + x0
+        return
+    b = n - n // 2
+    for first, pre, suf in split_tables(reps, m, n):
+        for c, tables in enumerate(zip(pre, suf), first):
+            for us, vs, block in pruned_blocks(*tables):
+                yield c, block.ravel(), lambda at, us=us, vs=vs: (us[:, None] << b | vs).ravel()[at]
+
+
 def _solve_class(reps: list, m: int, n: int, ties: bool = False) -> list[tuple[int, int, dict]]:
     """Solve a chunk of symmetry classes of one output length m: one
     (rep, max_count, stars) per rep numeral, in order.
@@ -326,15 +360,14 @@ def _solve_class(reps: list, m: int, n: int, ties: bool = False) -> list[tuple[i
     """
     best = [-1] * len(reps)
     picks: list = [None] * len(reps)
-    for first, x0, block in split_counts(reps, m, n):
-        for c, row in enumerate(block, first):
-            top = int(row.max())
-            if top < best[c]:
-                continue
-            if ties:
-                found = [int(s.min()) for s in _orbit(np.flatnonzero(row == top) + x0, n)]
-                picks[c] = list(map(min, picks[c], found)) if top == best[c] else found
-            best[c] = top
+    for c, counts, numerals in _class_blocks(reps, m, n):
+        top = int(counts.max())
+        if top < best[c]:
+            continue
+        if ties:
+            found = [int(s.min()) for s in _orbit(numerals(np.flatnonzero(counts == top)), n)]
+            picks[c] = list(map(min, picks[c], found)) if top == best[c] else found
+        best[c] = top
     if not ties:
         return [(rep, top, {}) for rep, top in zip(reps, best)]
     members = np.stack(_orbit(reps, m), axis=1).tolist()

@@ -4,11 +4,13 @@
 the positions of x, of weight len(x) - len(y), whose surviving positions
 spell y.  Equivalently it is the number of distinct embeddings of y as a
 subsequence of x.  The scalar routines return exact Python ints.  The
-all-inputs kernel (`split_counts`, and `counts_for_all_inputs` for one
-output) takes outputs as numerals and splits every input at the middle: it
-walks the scalar DP over all half-length prefixes and, from the last symbol,
-all half-length suffixes of x, and takes the counts of all 2^n inputs as one
-product of the two tables per output, in blocks within a byte budget.
+all-inputs kernel takes outputs as numerals and splits every input at the
+middle: `split_tables` walks the scalar DP over all half-length prefixes
+and, from the last symbol, all half-length suffixes of x, and the counts of
+all 2^n inputs are one product of the two tables per output.
+`split_counts` (and `counts_for_all_inputs` for one output) takes that
+product whole, in blocks within a byte budget; `pruned_blocks` takes only
+the rows and columns of one output's product that can hold its maximum.
 
 Two independent routes are provided on purpose: a prefix dynamic program
 (`count_deletion_patterns`) and a brute-force enumerator over kept-position
@@ -28,9 +30,10 @@ from .bitseq import BinarySequence, CapExceededError
 # practical oracle.
 ORACLE_MAX_N = 20
 
-# The split kernel's memory is bounded by SPLIT_BYTES at every n, but a
-# class still costs 2^n * band multiply-adds (about 0.3 s at n = 24); 24
-# matches the exhaustive search cap until a pruned search is measured past it.
+# The split kernel's memory is bounded by SPLIT_BYTES at every n.  The dense
+# product costs 2^n * band multiply-adds a class (74-124 ms at n = 24 on a
+# 2-vCPU host, one BLAS thread), the pruned one 2-6 ms there (m = 6, 12,
+# 18); 24 stays the exhaustive search cap until a sweep past it is measured.
 VECTOR_MAX_N = 24
 
 # Working set of the split kernel: one batch of tables (three quarters)
@@ -132,6 +135,52 @@ def split_batch(n: int, m: int) -> int:
     return max(1, (SPLIT_BYTES - SPLIT_BYTES // 4) // table_bytes)
 
 
+def split_tables(ys, m: int, n: int):
+    """The prefix and suffix tables of every output in ys, one batch at a time.
+
+    ys holds the numerals of length-m outputs (a list, a range or an int
+    array).  Returns an iterator of (first, pre, suf), one per batch of
+    `split_batch(n, m)` outputs, with pre[i, u, j] = #(u, y[:lo + j]) and
+    suf[i, v, j] = #(v, y[lo + j:]) for y = ys[first + i], as float64 of
+    shapes (count, 2^a, band) and (count, 2^b, band), C-contiguous.
+
+    Split x = u v with u its a = floor(n/2) leading and v its b = n - a
+    trailing symbols.  A deletion pattern of x splits into one of u and one
+    of v, and the survivors spell y exactly when u's spell y[:k] and v's
+    spell y[k:] for k = the survivors in u, so
+    #(uv, y) = sum_k #(u, y[:k]) * #(v, y[k:]).  Only the band
+    k in [lo, hi] = [max(0, m - b), min(a, m)] can contribute.  The prefix
+    table comes from a walk over u's symbols; the suffix table from the same
+    walk run over y and v from their last symbols.  Both are indexed by
+    numeral, so the counts of every x = u * 2^b + v are pre[i] @ suf[i]^T.
+    A batch's tables and walk temporaries fit three quarters of
+    SPLIT_BYTES; an output whose tables alone exceed that still makes a
+    batch of one.
+    """
+    if m > n:
+        raise ValueError(f"output longer than input ({m} > {n})")
+    if n > VECTOR_MAX_N:
+        raise CapExceededError(f"vector sweep capped at n <= {VECTOR_MAX_N}, got {n}")
+    return _walk_tables(ys, m, n)
+
+
+def _walk_tables(ys, m: int, n: int):
+    a, b = n // 2, n - n // 2
+    lo, hi = max(0, m - b), min(a, m)
+    shifts = np.arange(m - 1, -1, -1)
+    size = split_batch(n, m)
+    for first in range(0, len(ys), size):
+        sym = (np.asarray(ys[first : first + size], dtype=np.int64)[:, None] >> shifts) & 1
+        pre = _walk(sym, a, hi + 1, append=True)[:, :, lo:]
+        pre = np.ascontiguousarray(pre.transpose(1, 0, 2), dtype=np.float64)
+        # the suffix walk runs over y and v from their last symbols, so its
+        # lanes are v and its row t counts y's last t symbols: row m - k
+        # pairs with prefix row k
+        suf = _walk(sym[:, ::-1], b, m - lo + 1, append=False)[:, :, m - hi :][:, :, ::-1]
+        suf = np.ascontiguousarray(suf.transpose(1, 0, 2), dtype=np.float64)
+        yield first, pre, suf
+
+
 def split_counts(ys, m: int, n: int):
     """#(x, y) for every x in {0,1}^n and every y in ys, in bounded blocks.
 
@@ -139,61 +188,67 @@ def split_counts(ys, m: int, n: int):
     array).  Returns an iterator of (first, x0, block) with
     block[i, r] = #(x0 + r, ys[first + i]) as exact float64 integers; the
     blocks cover every (y, x) pair once, in order of y and then of x.
-
-    Split x = u v with u its a = floor(n/2) leading and v its b = n - a
-    trailing symbols.  A deletion pattern of x splits into one of u and one
-    of v, and the survivors spell y exactly when u's spell y[:k] and v's
-    spell y[k:] for k = the survivors in u, so
-    #(uv, y) = sum_k #(u, y[:k]) * #(v, y[k:]).  Only the band
-    k in [max(0, m - b), min(a, m)] can contribute.  A prefix table
-    P[u, k] = #(u, y[:k]) comes from a walk over u's symbols; a suffix table
-    S[v, k] = #(v, y[k:]) from the same walk run over y and v from their
-    last symbols.  Both are indexed by numeral, so the counts of every
-    x = u * 2^b + v are the matrix product P @ S^T, taken in float64.
+    They are the dense products pre @ suf^T of the `split_tables`.
 
     That product is exact: every term and every partial sum is a
     non-negative integer at most the full sum, and
     sum_k C(a, k) C(b, m - k) = C(n, m) (Vandermonde) bounds it, which is
     below 2^53 for every n <= 56.
 
-    The working set stays within SPLIT_BYTES: outputs are walked in batches
-    of `split_batch(n, m)`, whose tables and walk temporaries fit three
-    quarters of it, and each block (the whole products of several outputs,
-    or rows u of one output's) fits the last quarter.  An output whose
-    tables alone exceed the three quarters still makes a batch of one.
+    The working set stays within SPLIT_BYTES: the tables of a batch fit
+    three quarters of it, and each block (the whole products of several
+    outputs, or rows u of one output's) fits the last quarter.
     """
-    if m > n:
-        raise ValueError(f"output longer than input ({m} > {n})")
-    if n > VECTOR_MAX_N:
-        raise CapExceededError(f"vector sweep capped at n <= {VECTOR_MAX_N}, got {n}")
-    return _split_blocks(ys, m, n)
+    return _split_blocks(split_tables(ys, m, n), n)
 
 
-def _split_blocks(ys, m: int, n: int):
-    a, b = n // 2, n - n // 2
-    lo, hi = max(0, m - b), min(a, m)
-    shifts = np.arange(m - 1, -1, -1)
+def _split_blocks(tables, n: int):
+    b = n - n // 2
     quarter = SPLIT_BYTES // 4
     # a block is the whole products of `outs` outputs when one fits the
     # quarter (step then spans every row u), else `step` rows u of one
     outs = max(1, quarter // (8 << n))
     step = max(1, quarter // (8 << b))
-    size = split_batch(n, m)
-    for first in range(0, len(ys), size):
-        sym = (np.asarray(ys[first : first + size], dtype=np.int64)[:, None] >> shifts) & 1
-        pre = _walk(sym, a, hi + 1, append=True)[:, :, lo:]
-        pre = np.ascontiguousarray(pre, dtype=np.float64)
-        # the suffix walk runs over y and v from their last symbols, so its
-        # lanes are v and its row t counts y's last t symbols: row m - k
-        # pairs with prefix row k
-        suf = _walk(sym[:, ::-1], b, m - lo + 1, append=False)[:, :, m - hi :][:, :, ::-1]
-        suf = np.ascontiguousarray(suf, dtype=np.float64)
+    for first, pre, suf in tables:
         # per output: (2^a, band) @ (band, 2^b), rows u and columns v
-        pre, suf = pre.transpose(1, 0, 2), suf.transpose(1, 2, 0)
-        for c in range(0, len(sym), outs):
-            for u in range(0, 1 << a, step):
+        suf = suf.transpose(0, 2, 1)
+        for c in range(0, len(pre), outs):
+            for u in range(0, pre.shape[1], step):
                 block = np.matmul(pre[c : c + outs, u : u + step], suf[c : c + outs])
                 yield first + c, u << b, block.reshape(len(block), -1)
+
+
+def pruned_blocks(pre: np.ndarray, suf: np.ndarray):
+    """Blocks of one output's product pre @ suf^T that hold every maximal entry.
+
+    pre and suf are one output's `split_tables`.  Returns an iterator of
+    (us, vs, pre[us] @ suf[vs]^T), in order of u.  As in the split search
+    of Horowitz and Sahni, no entry of row u exceeds
+    ub_u[u] = pre[u] . max_v suf[v] (the maximum taken per band column),
+    none of column v exceeds ub_v[v] = suf[v] . max_u pre[u], and an
+    incumbent entry inc, from three rounds of alternating row and column
+    argmax, is at most the maximum.  The rows and columns with bound >= inc
+    are kept, so every maximizing (u, v) survives, ties included.
+
+    Every entry, bound and partial sum is a non-negative integer at most
+    C(n, m) (the Vandermonde bound of `split_counts`), so the float64 sums
+    and comparisons are exact for n <= 56.  A block of kept rows fits the
+    last quarter of SPLIT_BYTES whenever one kept row does, as a row of all
+    2^b columns always does at the default budget for n <= VECTOR_MAX_N.
+    """
+    ub_u = pre @ suf.max(axis=0)
+    ub_v = suf @ pre.max(axis=0)
+    u = ub_u.argmax()
+    for _ in range(3):
+        v = (suf @ pre[u]).argmax()
+        u = (pre @ suf[v]).argmax()
+    inc = pre[u] @ suf[v]
+    us, vs = np.flatnonzero(ub_u >= inc), np.flatnonzero(ub_v >= inc)
+    kept = suf[vs].T
+    step = max(1, SPLIT_BYTES // 4 // (8 * len(vs)))
+    for i in range(0, len(us), step):
+        rows = us[i : i + step]
+        yield rows, vs, pre[rows] @ kept
 
 
 def counts_for_all_inputs(y: BinarySequence, n: int) -> np.ndarray:

@@ -7,6 +7,7 @@ import pytest
 
 from delcap import (
     BinarySequence,
+    CapExceededError,
     DegenerateOutputError,
     DupApproach,
     PSI_CONSTANT,
@@ -61,8 +62,11 @@ def test_bsc_finite_check_gap_shrinks():
 def test_finite_checks_share_the_sequence_length_cap():
     for check in (bec_finite_n_check, bsc_finite_n_check):
         assert 0.0 < check(MAX_LEN, 0.5) < 1.0
-        with pytest.raises(ValueError):
+        with pytest.raises(CapExceededError):
             check(MAX_LEN + 1, 0.5)
+        with pytest.raises(ValueError) as err:
+            check(0, 0.5)
+        assert not isinstance(err.value, CapExceededError)
 
 
 def test_typical_output_length():

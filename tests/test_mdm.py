@@ -28,7 +28,7 @@ from delcap import (
     stirling_lower_bound,
     sum_max_counts,
 )
-from delcap import patcount
+from delcap import mdm, patcount
 from delcap.bitseq import MAX_LEN
 from delcap.mdm import _classes, _format_checkpoint_line, _orbit, _parse_checkpoint, _solve_class
 from oracle_utils import (
@@ -508,6 +508,73 @@ def test_pooled_table_and_resume_match_walk_oracle(tmp_path, n, m):
     path.write_text("\n".join(lines[: len(lines) // 2]))  # cut mid-file, no final newline
     _assert_table_matches_walk(mdm_table(n, m, threads=2, checkpoint_path=str(path)), n, m)
     assert set(lines) <= set(path.read_text().splitlines())
+
+
+def _dense_and_pruned(monkeypatch, reps, m, n, ties=True):
+    monkeypatch.setattr(mdm, "PRUNE_MIN_N", n + 1)
+    dense = _solve_class(reps, m, n, ties)
+    monkeypatch.setattr(mdm, "PRUNE_MIN_N", n)
+    return dense, _solve_class(reps, m, n, ties)
+
+
+def test_pruned_solve_matches_dense_below_crossover(monkeypatch):
+    # rep, maximum and every member's smallest maximizer, at every length
+    # small enough for the dense product to be cheap
+    for n in range(15):
+        for m in range(n + 1):
+            dense, pruned = _dense_and_pruned(monkeypatch, _classes(m)[1], m, n)
+            assert pruned == dense, (n, m)
+
+
+@pytest.mark.parametrize(
+    "n, m, sample",
+    [(16, 6, None), (16, 8, None), (16, 12, None), (20, 5, 10), (20, 10, 10), (20, 15, 10)],
+)
+def test_pruned_solve_matches_dense_past_crossover(monkeypatch, n, m, sample):
+    reps = _classes(m)[1]
+    if sample:
+        reps = sorted(random.Random(n * 100 + m).sample(reps, sample))
+    for ties in (True, False):
+        dense, pruned = _dense_and_pruned(monkeypatch, reps, m, n, ties)
+        assert pruned == dense, (n, m, ties)
+
+
+def test_pruned_blocks_stay_within_the_budget(monkeypatch):
+    want = mdm_table(16, 8).rows
+    shapes = []
+
+    def recording(pre, suf):
+        for us, vs, block in patcount.pruned_blocks(pre, suf):
+            assert block.shape == (len(us), len(vs))
+            shapes.append(block.shape)
+            yield us, vs, block
+
+    monkeypatch.setattr(mdm, "pruned_blocks", recording)
+    # with no budget every kept product goes one row at a time; at
+    # 32 * 2^b bytes a quarter holds a whole row of 2^b columns, so blocks
+    # take several rows and still fit it
+    monkeypatch.setattr(patcount, "SPLIT_BYTES", 1)
+    assert mdm_table(16, 8).rows == want
+    assert {rows for rows, _ in shapes} == {1}
+    shapes.clear()
+    monkeypatch.setattr(patcount, "SPLIT_BYTES", 32 << 8)
+    assert mdm_table(16, 8).rows == want
+    assert max(rows for rows, _ in shapes) > 1
+    assert max(8 * rows * cols for rows, cols in shapes) <= (32 << 8) // 4
+
+
+def test_pruned_path_matches_walk_oracle(monkeypatch):
+    # the dense-path oracle tests again, every class through the pruned product
+    monkeypatch.setattr(mdm, "PRUNE_MIN_N", 0)
+    test_sum_max_counts_and_table_match_walk_oracle()
+    test_table_matches_walk_oracle_across_row_blocks(monkeypatch)
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (6, 0), (9, 4), (12, 6), (12, 11)])
+def test_pooled_pruned_table_and_resume_match_walk_oracle(monkeypatch, tmp_path, n, m):
+    # forked pool workers inherit the lowered crossover
+    monkeypatch.setattr(mdm, "PRUNE_MIN_N", 0)
+    test_pooled_table_and_resume_match_walk_oracle(tmp_path, n, m)
 
 
 def test_sum_max_counts():
