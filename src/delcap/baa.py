@@ -71,12 +71,12 @@ def build_channel_matrix(n: int, d: float) -> ChannelMatrix:
     """Dense transition matrix w[x, y] = #(x,y) (1-d)^len(y) d^(n-len(y)).
 
     Filled one output length at a time from the split kernel
-    (`patcount.split_counts`): each block of counts is scaled and written
-    straight into its slice of W's columns, so beside W the build holds one
-    kernel batch, within `patcount.SPLIT_BYTES`, and no second matrix-sized
-    array.  h gets its terms one column at a time in output order, with
-    ln 1 = 0 where w = 0, so every h_j is the same left-to-right sum at any
-    block size.
+    (`patcount.split_counts`): each block of counts is widened to float64,
+    scaled and written straight into its slice of W's columns, so beside W
+    the build holds one kernel batch, within `patcount.SPLIT_BYTES`, one
+    widened block and no second matrix-sized array.  h gets its terms one
+    column at a time in output order, with ln 1 = 0 where w = 0, so every
+    h_j is the same left-to-right sum at any block size.
     """
     if n < 1:
         raise ValueError(f"block length {n} must be >= 1")
@@ -89,6 +89,8 @@ def build_channel_matrix(n: int, d: float) -> ChannelMatrix:
     for m in range(n + 1):
         scale = (1.0 - d) ** m * d ** (n - m)
         for first, x0, block in split_counts(range(1 << m), m, n):
+            # widen the exact counts first: scaling in float32 would round W
+            block = block.astype(np.float64)
             block *= scale
             rows, col = slice(x0, x0 + block.shape[1]), (1 << m) - 1 + first
             w[rows, col : col + len(block)] = block.T

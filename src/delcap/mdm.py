@@ -47,10 +47,11 @@ from .patcount import counts_for_all_inputs  # noqa: F401  (the benchmark tracer
 
 
 # From this input length on a class is solved by the pruned product of its
-# split tables, below it by the dense one.  Per class with ties (2 vCPUs,
-# one BLAS thread) the pruned solve took 1.2-1.3x the dense time at n = 14,
-# 0.98-1.08x at n = 15, 0.66-0.81x at n = 16 and 0.37-0.44x at n = 18,
-# m = 7 (0.35-0.47 against 0.95-1.06 ms).
+# split tables, below it by the dense one.  Per class on float32 tables (2
+# vCPUs, one BLAS thread, 10 alternating pairs, three m per n), pruned took
+# 1.13-1.42x the dense time at n = 15, 0.93-1.12x at n = 16, where neither
+# side won at every m, and 0.76-0.90x at n = 17 with ties; 1.41-1.45x,
+# 1.05-1.07x and 0.70-0.87x without.
 PRUNE_MIN_N = 16
 
 

@@ -11,6 +11,9 @@ all 2^n inputs are one product of the two tables per output.
 `split_counts` (and `counts_for_all_inputs` for one output) takes that
 product whole, in blocks within a byte budget; `pruned_blocks` takes only
 the rows and columns of one output's product that can hold its maximum.
+Tables, products and bounds are integers of at most C(n, m) < 2^24 for
+n <= VECTOR_MAX_N, so they stay in float32, exactly, from the walk to the
+product.
 
 Two independent routes are provided on purpose: a prefix dynamic program
 (`count_deletion_patterns`) and a brute-force enumerator over kept-position
@@ -34,7 +37,12 @@ ORACLE_MAX_N = 20
 # product costs 2^n * band multiply-adds a class (74-124 ms at n = 24 on a
 # 2-vCPU host, one BLAS thread), the pruned one 2-6 ms there (m = 6, 12,
 # 18); 24 stays the exhaustive search cap until a sweep past it is measured.
+# Every table entry, product entry, bound and partial sum of the kernel is
+# an integer at most C(n, m), which its float32 COUNT_DTYPE holds exactly
+# for every m up to n = 26 (C(26, 13) < 2^24) and not beyond
+# (C(27, 13) > 2^24): a cap past 26 needs a wider dtype.
 VECTOR_MAX_N = 24
+COUNT_DTYPE = np.dtype(np.float32)
 
 # Working set of the split kernel: one batch of tables (three quarters)
 # plus one product block (the last quarter).  It equals the 16 * 2^n bytes
@@ -101,19 +109,19 @@ def _walk(sym: np.ndarray, length: int, rows: int, append: bool) -> np.ndarray:
     count = sym.shape[0]
     lane = count * rows
     # grow[b, c, k] = 1 where y_c[k-1] == b; row 0 (empty prefix of y) never grows
-    grow = np.zeros((2, count, rows), dtype=np.float32)
+    grow = np.zeros((2, count, rows), dtype=COUNT_DTYPE)
     grow[1, :, 1:] = sym[:, : rows - 1]
     grow[0, :, 1:] = 1 - sym[:, : rows - 1]
     grow = grow.reshape(2, lane)[:, 1:]
-    state = np.zeros((1, count, rows), dtype=np.float32)
+    state = np.zeros((1, count, rows), dtype=COUNT_DTYPE)
     state[:, :, 0] = 1.0
     state = state.reshape(1, lane)
     for j in range(length):
         if append:  # child numeral 2 * w + b
-            children = np.empty((1 << j, 2, lane), dtype=np.float32)
+            children = np.empty((1 << j, 2, lane), dtype=COUNT_DTYPE)
             old, match = state[:, None], grow[None]
         else:  # child numeral b * 2^j + w
-            children = np.empty((2, 1 << j, lane), dtype=np.float32)
+            children = np.empty((2, 1 << j, lane), dtype=COUNT_DTYPE)
             old, match = state[None], grow[:, None]
         np.multiply(match, old[..., :-1], out=children[..., 1:])
         children[..., 1:] += old[..., 1:]
@@ -127,11 +135,12 @@ def split_batch(n: int, m: int) -> int:
 
     Both walks keep at most R = min(m, n - n//2) + 1 rows of float32.  A
     walk's last level holds its parent level and its children, 6R bytes per
-    lane, and its float64 band copy comes after the parent level is freed,
-    so 12R bytes per lane of both tables bound one output's peak.
+    lane, and its float32 band copy comes after the parent level is freed,
+    so the children and the copy, 8R bytes per lane of both tables, bound
+    one output's peak.
     """
     a, b = n // 2, n - n // 2
-    table_bytes = 12 * (min(m, b) + 1) * ((1 << a) + (1 << b))
+    table_bytes = 2 * COUNT_DTYPE.itemsize * (min(m, b) + 1) * ((1 << a) + (1 << b))
     return max(1, (SPLIT_BYTES - SPLIT_BYTES // 4) // table_bytes)
 
 
@@ -141,8 +150,9 @@ def split_tables(ys, m: int, n: int):
     ys holds the numerals of length-m outputs (a list, a range or an int
     array).  Returns an iterator of (first, pre, suf), one per batch of
     `split_batch(n, m)` outputs, with pre[i, u, j] = #(u, y[:lo + j]) and
-    suf[i, v, j] = #(v, y[lo + j:]) for y = ys[first + i], as float64 of
-    shapes (count, 2^a, band) and (count, 2^b, band), C-contiguous.
+    suf[i, v, j] = #(v, y[lo + j:]) for y = ys[first + i], as exact
+    COUNT_DTYPE integers of shapes (count, 2^a, band) and (count, 2^b,
+    band), C-contiguous.
 
     Split x = u v with u its a = floor(n/2) leading and v its b = n - a
     trailing symbols.  A deletion pattern of x splits into one of u and one
@@ -172,12 +182,12 @@ def _walk_tables(ys, m: int, n: int):
     for first in range(0, len(ys), size):
         sym = (np.asarray(ys[first : first + size], dtype=np.int64)[:, None] >> shifts) & 1
         pre = _walk(sym, a, hi + 1, append=True)[:, :, lo:]
-        pre = np.ascontiguousarray(pre.transpose(1, 0, 2), dtype=np.float64)
+        pre = np.ascontiguousarray(pre.transpose(1, 0, 2))
         # the suffix walk runs over y and v from their last symbols, so its
         # lanes are v and its row t counts y's last t symbols: row m - k
         # pairs with prefix row k
         suf = _walk(sym[:, ::-1], b, m - lo + 1, append=False)[:, :, m - hi :][:, :, ::-1]
-        suf = np.ascontiguousarray(suf.transpose(1, 0, 2), dtype=np.float64)
+        suf = np.ascontiguousarray(suf.transpose(1, 0, 2))
         yield first, pre, suf
 
 
@@ -186,14 +196,15 @@ def split_counts(ys, m: int, n: int):
 
     ys holds the numerals of length-m outputs (a list, a range or an int
     array).  Returns an iterator of (first, x0, block) with
-    block[i, r] = #(x0 + r, ys[first + i]) as exact float64 integers; the
-    blocks cover every (y, x) pair once, in order of y and then of x.
+    block[i, r] = #(x0 + r, ys[first + i]) as exact COUNT_DTYPE integers;
+    the blocks cover every (y, x) pair once, in order of y and then of x.
     They are the dense products pre @ suf^T of the `split_tables`.
 
-    That product is exact: every term and every partial sum is a
-    non-negative integer at most the full sum, and
-    sum_k C(a, k) C(b, m - k) = C(n, m) (Vandermonde) bounds it, which is
-    below 2^53 for every n <= 56.
+    That product is exact in float32 whatever order the sums take: every
+    term and every partial sum is a non-negative integer at most the full
+    sum, and sum_k C(a, k) C(b, m - k) = C(n, m) (Vandermonde) bounds it,
+    which is at most 2^24 for every n <= 26, and float32 holds every
+    integer up to 2^24.
 
     The working set stays within SPLIT_BYTES: the tables of a batch fit
     three quarters of it, and each block (the whole products of several
@@ -207,8 +218,8 @@ def _split_blocks(tables, n: int):
     quarter = SPLIT_BYTES // 4
     # a block is the whole products of `outs` outputs when one fits the
     # quarter (step then spans every row u), else `step` rows u of one
-    outs = max(1, quarter // (8 << n))
-    step = max(1, quarter // (8 << b))
+    outs = max(1, quarter // (COUNT_DTYPE.itemsize << n))
+    step = max(1, quarter // (COUNT_DTYPE.itemsize << b))
     for first, pre, suf in tables:
         # per output: (2^a, band) @ (band, 2^b), rows u and columns v
         suf = suf.transpose(0, 2, 1)
@@ -231,10 +242,11 @@ def pruned_blocks(pre: np.ndarray, suf: np.ndarray):
     are kept, so every maximizing (u, v) survives, ties included.
 
     Every entry, bound and partial sum is a non-negative integer at most
-    C(n, m) (the Vandermonde bound of `split_counts`), so the float64 sums
-    and comparisons are exact for n <= 56.  A block of kept rows fits the
-    last quarter of SPLIT_BYTES whenever one kept row does, as a row of all
-    2^b columns always does at the default budget for n <= VECTOR_MAX_N.
+    C(n, m) (the Vandermonde bound of `split_counts`; a bound's terms are at
+    most C(a, k) C(b, m - k)), so the float32 sums and comparisons are exact
+    for n <= 26.  A block of kept rows fits the last quarter of SPLIT_BYTES
+    whenever one kept row does, as a row of all 2^b columns always does at
+    the default budget for n <= VECTOR_MAX_N.
     """
     ub_u = pre @ suf.max(axis=0)
     ub_v = suf @ pre.max(axis=0)
@@ -245,7 +257,7 @@ def pruned_blocks(pre: np.ndarray, suf: np.ndarray):
     inc = pre[u] @ suf[v]
     us, vs = np.flatnonzero(ub_u >= inc), np.flatnonzero(ub_v >= inc)
     kept = suf[vs].T
-    step = max(1, SPLIT_BYTES // 4 // (8 * len(vs)))
+    step = max(1, SPLIT_BYTES // 4 // (COUNT_DTYPE.itemsize * len(vs)))
     for i in range(0, len(us), step):
         rows = us[i : i + step]
         yield rows, vs, pre[rows] @ kept

@@ -539,6 +539,15 @@ def test_pruned_solve_matches_dense_past_crossover(monkeypatch, n, m, sample):
         assert pruned == dense, (n, m, ties)
 
 
+def test_largest_count_at_the_cap_is_exact_on_both_paths(monkeypatch):
+    # 0^24 gives y = 0^12 all C(24, 12) = 2,704,156 patterns, the largest
+    # count the search can meet; the alternating y peaks at C(18, 6)
+    reps = [0, 0b010101010101]
+    dense, pruned = _dense_and_pruned(monkeypatch, reps, 12, 24)
+    assert pruned == dense
+    assert [top for _, top, _ in pruned] == [math.comb(24, 12), 18_564]
+
+
 def test_pruned_blocks_stay_within_the_budget(monkeypatch):
     want = mdm_table(16, 8).rows
     shapes = []
@@ -546,7 +555,7 @@ def test_pruned_blocks_stay_within_the_budget(monkeypatch):
     def recording(pre, suf):
         for us, vs, block in patcount.pruned_blocks(pre, suf):
             assert block.shape == (len(us), len(vs))
-            shapes.append(block.shape)
+            shapes.append((block.shape[0], block.nbytes))
             yield us, vs, block
 
     monkeypatch.setattr(mdm, "pruned_blocks", recording)
@@ -560,7 +569,7 @@ def test_pruned_blocks_stay_within_the_budget(monkeypatch):
     monkeypatch.setattr(patcount, "SPLIT_BYTES", 32 << 8)
     assert mdm_table(16, 8).rows == want
     assert max(rows for rows, _ in shapes) > 1
-    assert max(8 * rows * cols for rows, cols in shapes) <= (32 << 8) // 4
+    assert max(nbytes for _, nbytes in shapes) <= (32 << 8) // 4
 
 
 def test_pruned_path_matches_walk_oracle(monkeypatch):
@@ -582,6 +591,16 @@ def test_sum_max_counts():
     table = mdm_table(10, 5)
     assert sum_max_counts(10, 5) == sum(r.max_count for r in table.rows)
     assert sum_max_counts(10, 5, threads=2) == sum_max_counts(10, 5, threads=1)
+
+
+def test_sum_of_maxima_within_split_bound():
+    # maximizing #(u, y[:k]) and #(v, y[k:]) apart, for x = uv with
+    # |u| = a, bounds every maximum, and the sum over y factorizes
+    S = {(n, m): sum_max_counts(n, m) for n in range(15) for m in range(n + 1)}
+    for (n, m), total in S.items():
+        for a in range(1, n):
+            split = sum(S[a, k] * S[n - a, m - k] for k in range(max(0, m - n + a), min(a, m) + 1))
+            assert total <= split, (n, m, a)
 
 
 def test_sum_closed_forms_and_duplication_bracket():

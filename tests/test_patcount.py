@@ -177,7 +177,7 @@ def test_split_counts_blocks_cover_every_pair_in_order(monkeypatch, budget):
         ys = {5: range(1 << m), 9: np.arange(1 << m)}.get(m, list(range(1 << m))[::-1])
         seen = []
         for first, x0, block in patcount.split_counts(ys, m, n):
-            assert block.dtype == np.float64 and block.ndim == 2
+            assert block.dtype == np.float32 and block.ndim == 2
             for i, row in enumerate(block):
                 seen.append((first + i, x0, row.shape[0]))
                 y = BinarySequence(int(ys[first + i]), m)
@@ -191,6 +191,15 @@ def test_split_counts_blocks_cover_every_pair_in_order(monkeypatch, budget):
             expect.append(c)
         assert expect == sorted(expect)
         assert cursor == {c: 2**n for c in range(len(ys))}
+
+
+def test_count_dtype_holds_every_count_up_to_the_cap():
+    # C(n, m) bounds every table entry, product entry and partial sum; the
+    # dtype holds every integer up to 2^(mantissa bits + 1), 2^24 in
+    # float32, which C(27, 13) passes, so a cap past 26 needs a wider dtype
+    exact = 2 ** (np.finfo(patcount.COUNT_DTYPE).nmant + 1)
+    assert exact == 2**24
+    assert math.comb(patcount.VECTOR_MAX_N, patcount.VECTOR_MAX_N // 2) < exact
 
 
 def test_split_counts_rejects_long_outputs_and_caps():
