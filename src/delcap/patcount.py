@@ -7,7 +7,10 @@ subsequence of x.  The scalar routines return exact Python ints.  The
 all-inputs kernel takes outputs as numerals and splits every input at the
 middle: `split_tables` walks the scalar DP over all half-length prefixes
 and, from the last symbol, all half-length suffixes of x, and the counts of
-all 2^n inputs are one product of the two tables per output.
+all 2^n inputs are one product of the two tables per output.  Each walk
+starts from a gather out of a cached table of the counts of every input of
+its first TABLE_LEN symbols (`_count_table`, 128 KiB per process) and steps
+only the symbols past them.
 `split_counts` (and `counts_for_all_inputs` for one output) takes that
 product whole, in blocks within a byte budget; `pruned_blocks` takes only
 the rows and columns of one output's product that can hold its maximum.
@@ -23,6 +26,7 @@ the other; do not merge them.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -44,10 +48,21 @@ ORACLE_MAX_N = 20
 VECTOR_MAX_N = 24
 COUNT_DTYPE = np.dtype(np.float32)
 
-# Working set of the split kernel: one batch of tables (three quarters)
-# plus one product block (the last quarter).  It equals the 16 * 2^n bytes
-# of the prefix walk the kernel replaced at n = 14 and is below it beyond.
+# Working set of one split kernel call: one batch of tables (three
+# quarters) plus one product block (the last quarter).  It equals the
+# 16 * 2^n bytes of the prefix walk the kernel replaced at n = 14 and is
+# below it beyond.  The cached count tables below are held apart from it.
 SPLIT_BYTES = 1 << 18
+
+# Every walk starts from a cached count table of all inputs of its first
+# TABLE_LEN symbols, 4 * 2^L * 2^(L+1) bytes at L symbols: TABLE_LEN is the
+# largest L within half of SPLIT_BYTES, 7 (128 KiB).  A table is built on
+# first use, not at import, and each process (each pool worker too) keeps
+# one per walk length it has used: the 128 KiB one alone for n >= 14, all
+# eight together under 171 KiB.
+TABLE_LEN = max(
+    L for L in range(VECTOR_MAX_N // 2 + 1) if COUNT_DTYPE.itemsize << (2 * L + 1) <= SPLIT_BYTES // 2
+)
 
 
 def count_deletion_patterns(x: BinarySequence, y: BinarySequence) -> int:
@@ -90,6 +105,29 @@ def count_deletion_patterns_oracle(x: BinarySequence, y: BinarySequence) -> int:
     return count
 
 
+@functools.cache
+def _count_table(length: int) -> np.ndarray:
+    """T[w, 2^k - 1 + z] = #(w, z) for every input numeral w < 2^length and
+    every output numeral z of length k <= length, read-only.
+
+    Column 2^k - 1 + z is z's node in a binary heap: the column of z' c is
+    2 * col(z') + 1 + c.  One more column, the last, is all zeros.  Each
+    table comes from the one a symbol shorter by the walk's recurrence
+    #(w' b, z' c) = #(w', z' c) + [b = c] #(w', z'), where #(w', z' c) is
+    0 when z' c is longer than w'.
+    """
+    table = np.array([[1, 0]], dtype=COUNT_DTYPE)
+    for level in range(1, length + 1):
+        # rows 2 w' + b, built in place: no temporary beside the two tables
+        grown = np.zeros((1 << (level - 1), 2, 2 << level), dtype=COUNT_DTYPE)
+        grown[:, :, : table.shape[1]] = table[:, None]
+        grown[:, 0, 1::2] += table
+        grown[:, 1, 2::2] += table[:, :-1]
+        table = grown.reshape(1 << level, -1)
+    table.setflags(write=False)
+    return table
+
+
 def _walk(sym: np.ndarray, length: int, rows: int, append: bool) -> np.ndarray:
     """T[w, c, k] = #(x, y_c[:k]) for every length-symbol input x and k < rows.
 
@@ -100,6 +138,13 @@ def _walk(sym: np.ndarray, length: int, rows: int, append: bool) -> np.ndarray:
     append, so w is the numeral of x, and the leading bit without, so w is
     the numeral of x read backwards.
 
+    The first start = min(length, TABLE_LEN) levels are one gather from the
+    cached `_count_table(start)` (128 KiB at 7, per process, outside the
+    SPLIT_BYTES working set): row k reads y_c[:k]'s column, forwards with
+    append and backwards without (#(x, z) is #(x reversed, z reversed)), or
+    the zero column for k > start.  The gathered state, 4 bytes per row and
+    lane, is below the 6 of a level; at start = 0 it is row 0 = 1.
+
     The rows of every output sit side by side in one contiguous lane, so a
     level is three whole-array operations on the lanes; shifting a lane by
     one row also moves one output's last row into the next one's row 0,
@@ -108,15 +153,25 @@ def _walk(sym: np.ndarray, length: int, rows: int, append: bool) -> np.ndarray:
     """
     count = sym.shape[0]
     lane = count * rows
+    start = min(length, TABLE_LEN)
+    table = _count_table(start)
+    # cols[c, k] = 2^k - 1 + the numeral of y_c[:k] = the sum over i < k of
+    # (1 + y_c[i]) * 2^(k-1-i) read forwards, * 2^i read backwards; forwards
+    # the sum is taken at weights 2^(known-1-i) and shifted down to k's
+    known = min(rows - 1, start)
+    shift = np.arange(known)[::-1] if append else np.arange(known)
+    cols = np.full((count, rows), table.shape[1] - 1)
+    cols[:, 0] = 0
+    cols[:, 1 : known + 1] = np.cumsum((1 + sym[:, :known]) << shift, axis=1)
+    if append:
+        cols[:, 1 : known + 1] >>= shift
+    state = table[:, cols.ravel()]
     # grow[b, c, k] = 1 where y_c[k-1] == b; row 0 (empty prefix of y) never grows
     grow = np.zeros((2, count, rows), dtype=COUNT_DTYPE)
     grow[1, :, 1:] = sym[:, : rows - 1]
     grow[0, :, 1:] = 1 - sym[:, : rows - 1]
     grow = grow.reshape(2, lane)[:, 1:]
-    state = np.zeros((1, count, rows), dtype=COUNT_DTYPE)
-    state[:, :, 0] = 1.0
-    state = state.reshape(1, lane)
-    for j in range(length):
+    for j in range(start, length):
         if append:  # child numeral 2 * w + b
             children = np.empty((1 << j, 2, lane), dtype=COUNT_DTYPE)
             old, match = state[:, None], grow[None]
@@ -137,7 +192,9 @@ def split_batch(n: int, m: int) -> int:
     walk's last level holds its parent level and its children, 6R bytes per
     lane, and its float32 band copy comes after the parent level is freed,
     so the children and the copy, 8R bytes per lane of both tables, bound
-    one output's peak.
+    one output's peak.  A walk's start state, gathered from the cached count
+    table, holds 4R bytes per lane, under the 6R already charged; the cached
+    table itself is not charged.
     """
     a, b = n // 2, n - n // 2
     table_bytes = 2 * COUNT_DTYPE.itemsize * (min(m, b) + 1) * ((1 << a) + (1 << b))

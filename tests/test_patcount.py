@@ -1,5 +1,6 @@
 """Tests for deletion-pattern counting: the DP route against enumeration."""
 
+import hashlib
 import math
 import random
 
@@ -200,6 +201,71 @@ def test_count_dtype_holds_every_count_up_to_the_cap():
     exact = 2 ** (np.finfo(patcount.COUNT_DTYPE).nmant + 1)
     assert exact == 2**24
     assert math.comb(patcount.VECTOR_MAX_N, patcount.VECTOR_MAX_N // 2) < exact
+
+
+def _split_table_digests(ys, m, n):
+    # a digest per table keeps the tables of all 2^16 outputs out of memory
+    return [
+        (first, pre.dtype, pre.shape, _digest(pre), suf.dtype, suf.shape, _digest(suf))
+        for first, pre, suf in patcount.split_tables(ys, m, n)
+    ]
+
+
+def _digest(table):
+    return hashlib.sha256(table.tobytes()).hexdigest()
+
+
+def _assert_table_start_changes_nothing(monkeypatch, ys, m, n):
+    want = _split_table_digests(ys, m, n)
+    with monkeypatch.context() as patch:
+        # a walk from the empty input, every level stepped
+        patch.setattr(patcount, "TABLE_LEN", 0)
+        assert _split_table_digests(ys, m, n) == want, (n, m)
+
+
+@pytest.mark.parametrize("n", range(17))
+def test_table_start_matches_the_full_walk(monkeypatch, n):
+    for m in range(n + 1):
+        _assert_table_start_changes_nothing(monkeypatch, range(1 << m), m, n)
+
+
+# from n = 17 both walks step past the table; at n = 15 only the suffix walk
+# does (odd n has b = a + 1), and the test above covers it whole
+@pytest.mark.parametrize("n", range(17, 21))
+def test_table_start_matches_the_full_walk_sampled(monkeypatch, n):
+    rng = random.Random(n)
+    for m in (0, 1, patcount.TABLE_LEN, n // 2, n // 2 + 1, n - 1, n):
+        ys = sorted(rng.sample(range(1 << m), min(1 << m, 40)))
+        _assert_table_start_changes_nothing(monkeypatch, ys, m, n)
+
+
+def test_count_table_matches_scalar_dp():
+    for length in range(patcount.TABLE_LEN + 1):
+        table = patcount._count_table(length)
+        assert table.dtype == patcount.COUNT_DTYPE
+        assert table.shape == (2**length, 2 ** (length + 1))
+        assert not table[:, -1].any()
+        for w in range(2**length):
+            x = BinarySequence(w, length)
+            for col in range(table.shape[1] - 1):
+                k = (col + 1).bit_length() - 1
+                z = BinarySequence(col + 1 - 2**k, k)
+                assert table[w, col] == count_deletion_patterns(x, z), (length, w, col)
+
+
+def test_count_table_is_the_largest_within_half_the_budget():
+    half = patcount.SPLIT_BYTES // 2
+    assert patcount._count_table(patcount.TABLE_LEN).nbytes <= half
+    # the next table would be four times larger
+    assert 4 * patcount._count_table(patcount.TABLE_LEN).nbytes > half
+
+
+def test_count_table_is_read_only():
+    # a write into the cached table would corrupt every later count
+    table = patcount._count_table(patcount.TABLE_LEN)
+    with pytest.raises(ValueError):
+        table[0, 0] = 7
+    assert table[0, 0] == 1
 
 
 def test_split_counts_rejects_long_outputs_and_caps():
