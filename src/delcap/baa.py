@@ -6,11 +6,12 @@ to 1 - d^n), runs the alternating-maximization iteration from the uniform
 input, and reports the per-symbol capacity proxy with a convergence bracket,
 the KKT residual of the final distribution, and the additive sandwich that
 pins the true capacity under the proxy.  The per-input sum_y W ln W is
-built once beside W, so a full-support iteration costs two np.dot
-products, p W and W ln q, a log, an exp and two nonzero counts, plus
-O(2^(n+1)) work on vectors.  The zero-mass masking (ln q = 0 where
-q(y) = 0, D_j = 0 where p_j = 0) runs only when one of those exact zeros
-is there, which multiplicative updates from the uniform start never make.
+built once beside W, so an iteration costs two np.dot products, p W and
+W ln q, into buffers allocated before the loop, and a log, subtract, max,
+one nonzero count, dot, exp, multiply, sum and divide in place: nothing is
+allocated per iteration.  The masked step (ln q = 0 where q(y) = 0, D_j = 0
+where p_j = 0) redoes an iteration only on one of those exact zeros, which
+multiplicative updates from the uniform start never make.
 
 Input distributions are plain numpy vectors over the 2^n inputs, indexed by
 numeral like everything else; internals work in nats, the API reports bits
@@ -121,11 +122,6 @@ def _step(w: ChannelMatrix, p: np.ndarray) -> tuple[np.ndarray, float]:
     return D, float(np.dot(p, D))
 
 
-def _reweight(p: np.ndarray, D: np.ndarray) -> np.ndarray:
-    new = p * np.exp(D)
-    return new / new.sum()
-
-
 def baa_capacity(
     n: int, d: float, tol: float = 1e-10, max_iter: int = 20000
 ) -> BaaReport:
@@ -135,23 +131,15 @@ def baa_capacity(
     lower capacity estimate from the same divergences.  Non-convergence
     within max_iter is reported through the `converged` flag, not an error.
     The KKT residual is of the last distribution scored, the one whose
-    information is the capacity proxy, converged or not.
+    information is the capacity proxy, converged or not.  The iteration
+    allocates its two vectors once, before the loop.
     """
     if not tol > 0.0:  # NaN too: it would never stop the loop
         raise ValueError("tolerance must be positive")
     if max_iter < 1:
         raise ValueError("iteration cap must be >= 1")
     w = build_channel_matrix(n, d)
-    size = 1 << n
-    p = np.full(size, 1.0 / size)
-    history: list[float] = []
-    while True:
-        D, info = _step(w, p)
-        history.append(info / (n * _LN2))
-        converged = (float(D.max()) - info) / (n * _LN2) <= tol
-        if converged or len(history) == max_iter:
-            break
-        p = _reweight(p, D)  # only when scored next: the residual is of the proxy's p
+    history, p, converged = _iterate(w, np.full(1 << n, 1.0 / (1 << n)), tol, max_iter)
     proxy = history[-1]
     return BaaReport(
         n=n,
@@ -163,6 +151,34 @@ def baa_capacity(
         sandwich=dobrushin_sandwich(n, proxy),
         converged=converged,
     )
+
+
+def _iterate(w: ChannelMatrix, p: np.ndarray, tol: float, max_iter: int) -> tuple:
+    """(history in bits per symbol, last p scored, converged) from a copy of p:
+    `_step` and p exp(D) / sum, op for op, in place; an exact zero in q (max D
+    not finite) or in p sends the iteration through `_step` itself."""
+    W, h, scale = w.w, w.h, w.n * _LN2
+    p = np.array(p, dtype=np.float64)
+    q, D = np.empty(W.shape[1]), np.empty(W.shape[0])
+    history: list[float] = []
+    # ln 0 and 0 * ln 0 come only from an exact zero in q, and _step redoes that iteration
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while True:
+            p.dot(W, out=q)
+            np.log(q, out=q)
+            W.dot(q, out=D)
+            np.subtract(h, D, out=D)
+            top = float(np.maximum.reduce(D))
+            info = float(p.dot(D))
+            if not math.isfinite(top) or np.count_nonzero(p) < p.size:
+                D[...], info = _step(w, p)
+                top = float(np.maximum.reduce(D))
+            history.append(info / scale)
+            converged = (top - info) / scale <= tol
+            if converged or len(history) == max_iter:
+                return history, p, converged
+            np.multiply(p, np.exp(D, out=D), out=p)  # the residual is of the proxy's p
+            np.divide(p, np.add.reduce(p), out=p)
 
 
 def kkt_residual(w: ChannelMatrix, p: np.ndarray) -> float:

@@ -34,7 +34,9 @@ slow references the new paths must agree with:
 - `masked_input_divergences` and `masked_step`, those two products with
   the zero-mass masking done on every call, which the full-support fast
   path of `delcap.baa._input_divergences` and `delcap.baa._step`
-  replaced (bit for bit).
+  replaced (bit for bit), and `reweight`, the update p exp(D) / sum
+  that the in-place update of `delcap.baa._iterate` replaced (bit for
+  bit).
 
 The last section holds small formulas that nothing in the library calls,
 kept with the tests that pin them: `transition_probability`, `mu_d`,
@@ -543,6 +545,12 @@ def masked_step(w, p: np.ndarray) -> tuple[np.ndarray, float]:
     leaves both the information and the update p_j exp(D_j) unchanged."""
     D = np.where(p > 0.0, masked_input_divergences(w, p), 0.0)
     return D, float(p @ D)
+
+
+def reweight(p: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """The multiplicative update p_j exp(D_j), normalized to sum 1."""
+    new = p * np.exp(D)
+    return new / new.sum()
 
 
 def transition_probability(x: BinarySequence, y: BinarySequence, d: float) -> float:

@@ -1,6 +1,7 @@
 """Tests for the alternating-maximization capacity baseline."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,11 +15,12 @@ from delcap import (
     kkt_residual,
 )
 from delcap import baa, patcount
-from delcap.baa import _input_divergences, _reweight, _step
+from delcap.baa import ChannelMatrix, _input_divergences, _iterate, _step
 from oracle_utils import (
     direct_input_divergences,
     masked_input_divergences,
     masked_step,
+    reweight,
     walk_channel_matrix,
 )
 
@@ -119,7 +121,7 @@ def test_unconverged_residual_is_of_the_proxys_distribution(n, d, max_iter):
     w = build_channel_matrix(n, d)
     p = np.full(2**n, 1.0 / 2**n)
     for _ in range(max_iter - 1):
-        p = _reweight(p, _step(w, p)[0])
+        p = reweight(p, _step(w, p)[0])
     assert _step(w, p)[1] / (n * math.log(2.0)) == report.history[-1]
     assert report.kkt_residual == kkt_residual(w, p)
 
@@ -137,7 +139,7 @@ def test_iterate_preserves_complement_symmetry():
     info_prev = -1.0
     for _ in range(50):
         D, info = _step(w, p)
-        p, info = _reweight(p, D), info / (n * math.log(2.0))
+        p, info = reweight(p, D), info / (n * math.log(2.0))
         assert info >= info_prev - 1e-12
         info_prev = info
     flipped = np.array([p[(2**n - 1) ^ v] for v in range(2**n)])
@@ -179,7 +181,7 @@ def test_divergences_match_direct_formula():
                 assert info == pytest.approx(float(p @ expected), rel=0, abs=1e-12)
                 unmasked = _input_divergences(w, p)
                 assert np.array_equal(unmasked[p > 0], D[p > 0])
-                new = _reweight(p, D)
+                new = reweight(p, D)
                 direct = p * np.exp(expected)
                 assert np.abs(new - direct / direct.sum()).max() <= 1e-12
 
@@ -200,22 +202,86 @@ def test_divergences_match_masked_oracle_bit_for_bit():
                 assert info == want_info, (n, d)
 
 
-@pytest.mark.parametrize("n, d", [(6, 0.7), (9, 0.2), (5, 0.7), (8, 0.3)])
-def test_capacity_matches_masked_oracle_bit_for_bit(monkeypatch, n, d):
-    w = build_channel_matrix(n, d)
-    p = np.full(2**n, 1.0 / 2**n)
+def _masked_oracle_run(w, p, tol=1e-10, max_iter=20000):
+    """(history, last p scored, converged) of the loop on `masked_step`."""
     history = []
     while True:
         D, info = masked_step(w, p)
-        history.append(info / (n * math.log(2.0)))
-        if (float(D.max()) - info) / (n * math.log(2.0)) <= 1e-10 or len(history) == 20000:
-            break
-        p = _reweight(p, D)
+        history.append(info / (w.n * math.log(2.0)))
+        converged = (float(D.max()) - info) / (w.n * math.log(2.0)) <= tol
+        if converged or len(history) == max_iter:
+            return history, p, converged
+        p = reweight(p, D)
+
+
+@pytest.mark.parametrize("n, d", [(6, 0.7), (9, 0.2), (5, 0.7), (8, 0.3)])
+def test_capacity_matches_masked_oracle_bit_for_bit(monkeypatch, n, d):
+    w = build_channel_matrix(n, d)
+    history, p, _ = _masked_oracle_run(w, np.full(2**n, 1.0 / 2**n))
     report = baa_capacity(n, d)
     assert report.history == history
     assert report.iterations == len(history)
     monkeypatch.setattr(baa, "_input_divergences", masked_input_divergences)
     assert report.kkt_residual == kkt_residual(w, p)
+
+
+def _dominated_channel(outputs=4):
+    """Four noiseless inputs and a fifth whose output is uniform over theirs;
+    outputs past the fourth are reached by no input.
+
+    No deletion-channel input loses its mass to underflow: the full-length
+    output only that input reaches keeps its divergence large while its mass
+    is small.  Here the fifth input's divergence is ln 4 below the others',
+    so each update divides its mass by about 4, and from the uniform start
+    it reaches exactly 0 after about 540 iterations.
+    """
+    w = np.zeros((5, outputs))
+    w[:4, :4], w[4, :4] = np.eye(4), 0.25
+    return ChannelMatrix(n=2, d=0.5, w=w, h=(w * np.log(w + (w == 0.0))).sum(axis=1))
+
+
+def _fallback_run(start):
+    """(channel, start p, tol, max_iter) of a run that takes the masked step."""
+    if start == "sparse":  # q has exact zeros from the first iteration on
+        return build_channel_matrix(5, 0.5), _test_distributions(32)[2], 1e-10, 20000
+    if start == "dead":  # p_3 = 0, q has no zero: unmasked, D_3 would be the max
+        return _dominated_channel(), np.array([0.3, 0.3, 0.3, 0.0, 0.1]), 1e-10, 20000
+    if start == "unreached":  # q(y) = 0 with p full: unmasked, 0 ln 0 would be NaN
+        return _dominated_channel(outputs=5), np.full(5, 0.2), 1e-10, 20000
+    # p_5 underflows to 0 partway; the bracket rounds to 0 long before, so
+    # a negative tol (never met) keeps the run going to max_iter
+    return _dominated_channel(), np.full(5, 0.2), -1.0, 600
+
+
+@pytest.mark.parametrize("start", ["sparse", "dead", "unreached", "underflow"])
+def test_fallback_matches_masked_oracle_bit_for_bit(monkeypatch, start):
+    # the uniform start on the deletion channel never takes the masked step
+    w, p0, tol, max_iter = _fallback_run(start)
+    want_history, want_p, want_converged = _masked_oracle_run(w, p0, tol, max_iter)
+    calls = []
+    monkeypatch.setattr(baa, "_step", lambda w, p: calls.append(1) or _step(w, p))
+    kept = p0.copy()
+    history, p, converged = _iterate(w, p0, tol, max_iter)
+    assert history == want_history
+    assert np.array_equal(p, want_p)
+    assert converged == want_converged
+    assert np.array_equal(p0, kept)  # the start is not updated in place
+    if start == "underflow":
+        assert np.count_nonzero(p0) == p0.size and np.count_nonzero(p) < p.size
+        assert 0 < len(calls) < len(history)
+    else:
+        assert len(calls) == len(history)
+
+
+def test_no_warning_leaks_and_error_state_is_restored():
+    before = np.geterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n, d in [(4, 0.5), (8, 0.5), (6, 0.7), (9, 0.2), (5, 0.7), (8, 0.3)]:
+            baa_capacity(n, d)
+        for start in ("sparse", "dead", "unreached", "underflow"):
+            _iterate(*_fallback_run(start))
+    assert np.geterr() == before
 
 
 def _direct_history(n, d, tol=1e-10, max_iter=20000):
