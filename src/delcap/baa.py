@@ -1,21 +1,16 @@
-"""Blahut-Arimoto baseline for the finite-n deletion channel.
+"""Blahut-Arimoto baseline for the finite-n deletion channel, on symmetry classes.
 
-Builds the dense transition matrix over all inputs of length n and all
-outputs of length 0..n (the empty output included, otherwise rows would sum
-to 1 - d^n), runs the alternating-maximization iteration from the uniform
-input, and reports the per-symbol capacity proxy with a convergence bracket,
-the KKT residual of the final distribution, and the additive sandwich that
-pins the true capacity under the proxy.  The per-input sum_y W ln W is
-built once beside W, so an iteration costs two np.dot products, p W and
-W ln q, into buffers allocated before the loop, and a log, subtract, max,
-one nonzero count, dot, exp, multiply, sum and divide in place: nothing is
-allocated per iteration.  The masked step (ln q = 0 where q(y) = 0, D_j = 0
-where p_j = 0) redoes an iteration only on one of those exact zeros, which
-multiplicative updates from the uniform start never make.
-
-Input distributions are plain numpy vectors over the 2^n inputs, indexed by
-numeral like everything else; internals work in nats, the API reports bits
-per symbol.
+Complement and reversal g act on inputs and outputs with W(gy|gx) = W(y|x),
+and the uniform start and every update are invariant under them, so the
+iteration runs exactly on class masses P over the folded matrix w of
+`build_channel_matrix`, about 2^n/4 input by 2^(n+1)/4 output classes.  It
+reports the per-symbol capacity proxy with its convergence bracket, the KKT
+residual of the final distribution, and the additive sandwich that pins the
+true capacity under the proxy.  An iteration costs two np.dot products, P w
+and w (t ln q), and allocates nothing.  The masked step (ln q = 0 where
+q = 0, D_C = 0 where P_C = 0) redoes an iteration only on one of those exact
+zeros, which multiplicative updates from the uniform start never make.
+Internals work in nats, the API reports bits per symbol.
 """
 
 from __future__ import annotations
@@ -26,12 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitseq import CapExceededError
+from .mdm import _classes
 from .patcount import counts_for_all_inputs  # noqa: F401  (the benchmark tracer wraps this name)
 from .patcount import split_counts
 
-# Dense matrix is 2^n x (2^(n+1) - 1) float64, 4.3 GB at n = 14; past that
-# it stops fitting in ordinary memory.  The iteration holds only W beside
-# vectors, but the cap stays until a larger n is measured.
+# The folded matrix is about 2^n/4 x 2^(n+1)/4 float64: 17, 67 and 266 MiB
+# at n = 12, 13 and 14 (4,160 x 8,383, built in 2.5 s on one core), so about
+# 1 GiB at n = 15.  The cap stays at 14 until a larger n is measured.
 BAA_MAX_N = 14
 
 _LN2 = math.log(2.0)
@@ -43,17 +39,21 @@ KKT_SUPPORT_EPS = 1e-12
 
 @dataclass(frozen=True)
 class ChannelMatrix:
-    """Dense W(y|x) for block length n and deletion probability d.
+    """W(y|x) for block length n and deletion probability d, folded on classes.
 
-    Row index is the numeral of x.  Columns run over output lengths 0..n,
-    each length in numeral order: output v of length m is column
-    2^m - 1 + v.  h[j] = sum_y w ln w (nats).
+    Rows are the input classes of `mdm._classes(n)` in rep order, s[C]
+    members each; columns the output classes of `mdm._classes(m)` for
+    m = 0..n, by length and then rep, t[O] members each.  w[C, O] is the
+    mean over x in C of W(o|x) at the rep o of O, so w @ t = 1, and h[C] is
+    sum_y W(y|x) ln W(y|x) nats for any x in C.  t = s = 1 is the dense W.
     """
 
     n: int
     d: float
     w: np.ndarray
     h: np.ndarray
+    t: np.ndarray
+    s: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -69,65 +69,71 @@ class BaaReport:
 
 
 def build_channel_matrix(n: int, d: float) -> ChannelMatrix:
-    """Dense transition matrix w[x, y] = #(x,y) (1-d)^len(y) d^(n-len(y)).
+    """The channel w[x, y] = #(x,y) (1-d)^len(y) d^(n-len(y)), folded.
 
-    Filled one output length at a time from the split kernel
-    (`patcount.split_counts`): each block of counts is widened to float64,
-    scaled and written straight into its slice of W's columns, so beside W
-    the build holds one kernel batch, within `patcount.SPLIT_BYTES`, one
-    widened block and no second matrix-sized array.  h gets its terms one
-    column at a time in output order, with ln 1 = 0 where w = 0, so every
-    h_j is the same left-to-right sum at any block size.
+    Only the output reps are counted, one length at a time, by the split
+    kernel (`patcount.split_counts`).  Each block is widened to float64,
+    scaled, and summed over the input class of each x by one bincount into
+    its columns of w, and its w ln w terms (ln 1 = 0 where w = 0), times t,
+    into h: by the symmetry, sum_{x in C} W(y|x) ln W(y|x) is the same for
+    every y in O.  Beside w the build holds one kernel batch, within
+    `patcount.SPLIT_BYTES`, and a few arrays the size of one block.
     """
     if n < 1:
         raise ValueError(f"block length {n} must be >= 1")
     if n > BAA_MAX_N:
-        raise CapExceededError(f"dense matrix capped at n <= {BAA_MAX_N}, got {n}")
+        raise CapExceededError(f"channel matrix capped at n <= {BAA_MAX_N}, got {n}")
     if not 0.0 < d < 1.0:
         raise ValueError(f"deletion probability {d} outside (0, 1)")
-    w = np.empty((1 << n, (1 << (n + 1)) - 1), dtype=np.float64)
-    h = np.zeros(1 << n)
-    for m in range(n + 1):
+    canon, reps = _classes(n)
+    cls, rows = np.searchsorted(reps, canon), len(reps)  # cls[x]: the input class of x
+    outs = [_classes(m) for m in range(n + 1)]
+    t = np.concatenate([np.bincount(np.searchsorted(r, c)) for c, r in outs]).astype(np.float64)
+    w, h, col = np.zeros((rows, len(t))), np.zeros(rows), 0
+    for m, (_, out_reps) in enumerate(outs):
         scale = (1.0 - d) ** m * d ** (n - m)
-        for first, x0, block in split_counts(range(1 << m), m, n):
+        for first, x0, block in split_counts(out_reps, m, n):
             # widen the exact counts first: scaling in float32 would round W
             block = block.astype(np.float64)
             block *= scale
-            rows, col = slice(x0, x0 + block.shape[1]), (1 << m) - 1 + first
-            w[rows, col : col + len(block)] = block.T
-            for terms in block * np.log(block + (block == 0.0)):
-                h[rows] += terms
-    assert abs(w.sum(axis=1) - 1.0).max() < 1e-12, "rows must be stochastic"
-    return ChannelMatrix(n=n, d=d, w=w, h=h)
+            k, width = block.shape
+            at = (np.arange(0, k * rows, rows)[:, None] + cls[x0 : x0 + width]).ravel()
+            cols = slice(col + first, col + first + k)
+            w[:, cols] += np.bincount(at, block.ravel(), k * rows).reshape(k, rows).T
+            terms = (block * np.log(block + (block == 0.0))).ravel()
+            h += t[cols] @ np.bincount(at, terms, k * rows).reshape(k, rows)
+        col += len(out_reps)
+    s = np.bincount(cls).astype(np.float64)
+    w /= s[:, None]
+    h /= s
+    assert abs(w @ t - 1.0).max() < 1e-12, "rows must be stochastic"
+    return ChannelMatrix(n=n, d=d, w=w, h=h, t=t, s=s)
 
 
 def _input_divergences(w: ChannelMatrix, p: np.ndarray) -> np.ndarray:
-    """D_j = sum_y w ln(w/q) = h_j - sum_y w[j,y] ln q(y) nats, for every j;
-    +inf where some y with w[j,y] > 0 has q(y) = 0, only possible off support."""
+    """D_C = sum_y W ln(W/q) = h_C - sum_O t_O w[C,O] ln q_O nats for every
+    class C, q = p w; +inf where some O with w[C,O] > 0 has q_O = 0, only
+    possible off support."""
     q = np.dot(p, w.w)
-    if np.count_nonzero(q) == q.size:  # no masking to do: the usual case
-        return w.h - np.dot(w.w, np.log(q))
     dead = q <= 0.0
-    D = w.h - w.w @ np.log(q, out=np.zeros_like(q), where=~dead)
+    D = w.h - w.w @ (np.log(q, out=np.zeros_like(q), where=~dead) * w.t)
     D[(w.w[:, dead] > 0.0).any(axis=1)] = np.inf
     return D
 
 
 def _step(w: ChannelMatrix, p: np.ndarray) -> tuple[np.ndarray, float]:
-    """(D, mutual information in nats) of p; D_j is 0 where p_j = 0, which
-    leaves both the information and the update p_j exp(D_j) unchanged."""
-    D = _input_divergences(w, p)
-    if np.count_nonzero(p) < p.size:
-        D = np.where(p > 0.0, D, 0.0)
+    """(D, mutual information in nats) of class masses p; D_C is 0 where
+    p_C = 0, which leaves the information and the update p_C exp(D_C) as is."""
+    D = np.where(p > 0.0, _input_divergences(w, p), 0.0)
     return D, float(np.dot(p, D))
 
 
 def baa_capacity(
     n: int, d: float, tol: float = 1e-10, max_iter: int = 20000
 ) -> BaaReport:
-    """Iterate from the uniform input until the capacity bracket closes.
+    """Iterate from the uniform input, masses s / 2^n, until the bracket closes.
 
-    The bracket is (max_j D_j - sum_j p_j D_j) / n in bits: an upper and
+    The bracket is (max_C D_C - sum_C p_C D_C) / n in bits: an upper and
     lower capacity estimate from the same divergences.  Non-convergence
     within max_iter is reported through the `converged` flag, not an error.
     The KKT residual is of the last distribution scored, the one whose
@@ -139,7 +145,7 @@ def baa_capacity(
     if max_iter < 1:
         raise ValueError("iteration cap must be >= 1")
     w = build_channel_matrix(n, d)
-    history, p, converged = _iterate(w, np.full(1 << n, 1.0 / (1 << n)), tol, max_iter)
+    history, p, converged = _iterate(w, w.s / (1 << n), tol, max_iter)
     proxy = history[-1]
     return BaaReport(
         n=n,
@@ -157,7 +163,7 @@ def _iterate(w: ChannelMatrix, p: np.ndarray, tol: float, max_iter: int) -> tupl
     """(history in bits per symbol, last p scored, converged) from a copy of p:
     `_step` and p exp(D) / sum, op for op, in place; an exact zero in q (max D
     not finite) or in p sends the iteration through `_step` itself."""
-    W, h, scale = w.w, w.h, w.n * _LN2
+    W, h, t, scale = w.w, w.h, w.t, w.n * _LN2
     p = np.array(p, dtype=np.float64)
     q, D = np.empty(W.shape[1]), np.empty(W.shape[0])
     history: list[float] = []
@@ -166,6 +172,7 @@ def _iterate(w: ChannelMatrix, p: np.ndarray, tol: float, max_iter: int) -> tupl
         while True:
             p.dot(W, out=q)
             np.log(q, out=q)
+            np.multiply(q, t, out=q)
             W.dot(q, out=D)
             np.subtract(h, D, out=D)
             top = float(np.maximum.reduce(D))
@@ -182,18 +189,19 @@ def _iterate(w: ChannelMatrix, p: np.ndarray, tol: float, max_iter: int) -> tupl
 
 
 def kkt_residual(w: ChannelMatrix, p: np.ndarray) -> float:
-    """Distance of p from the capacity optimality conditions, bits per symbol.
+    """Distance of class masses p from the optimality conditions, bits per symbol.
 
-    With D_j the per-input divergence and lambda their p-average, an optimal
-    p has D_j = lambda wherever p_j > 0 and D_j <= lambda elsewhere.  The
-    residual adds the worst on-support deviation |D_j - lambda| and the
-    worst off-support excess max(0, D_j - lambda); inputs p leaves out
-    entirely are checked too, and an infinite D_j gives an infinite residual.
+    With D_C the divergence of each input of class C and lambda their
+    p-average, an optimal p has D_C = lambda on support, where each input of
+    C has mass p_C / s_C > KKT_SUPPORT_EPS, and D_C <= lambda elsewhere.  The
+    residual adds the worst on-support |D_C - lambda| and the worst
+    off-support max(0, D_C - lambda); classes p leaves out entirely are
+    checked too, and an infinite D_C gives an infinite residual.
     """
     p = np.asarray(p, dtype=np.float64)
     D = _input_divergences(w, p) / (w.n * _LN2)
     lam = float(p @ np.where(p > 0.0, D, 0.0))
-    support = p > KKT_SUPPORT_EPS
+    support = p / w.s > KKT_SUPPORT_EPS
     on = np.abs(D[support] - lam).max(initial=0.0)
     return float(on + (D[~support] - lam).max(initial=0.0))
 

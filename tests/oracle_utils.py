@@ -11,8 +11,10 @@ slow references the new paths must agree with:
   walk replaced (exactly);
 - `prefix_walk_counts`, that prefix walk, which the split kernel
   `delcap.patcount.split_counts` replaced (exactly), and
-  `walk_channel_matrix`, the column-at-a-time channel-matrix build on it
-  (bit for bit);
+  `walk_channel_matrix`, the column-at-a-time dense channel-matrix build on
+  it, with `dense_fold`, that matrix as the trivial fold (t = s = 1) of
+  `delcap.baa.ChannelMatrix`, which the folded build on symmetry classes
+  replaced (to rounding);
 - `partition_dup_sum_assign_by_length`, the partition enumeration that the
   run-length DP `delcap.mdm._dup_sum_assign_by_length` replaced
   (exactly);
@@ -32,11 +34,10 @@ slow references the new paths must agree with:
   two matrix-vector products of `delcap.baa._input_divergences` replaced
   (to rounding);
 - `masked_input_divergences` and `masked_step`, those two products with
-  the zero-mass masking done on every call, which the full-support fast
-  path of `delcap.baa._input_divergences` and `delcap.baa._step`
-  replaced (bit for bit), and `reweight`, the update p exp(D) / sum
-  that the in-place update of `delcap.baa._iterate` replaced (bit for
-  bit).
+  the zero-mass masking done on every call, on any fold, which the
+  in-place loop of `delcap.baa._iterate` replaced on every iteration
+  without an exact zero (bit for bit), and `reweight`, the update
+  p exp(D) / sum that its in-place update replaced (bit for bit).
 
 The last section holds small formulas that nothing in the library calls,
 kept with the tests that pin them: `transition_probability`, `mu_d`,
@@ -63,6 +64,7 @@ import numpy as np
 from delcap import (
     BinarySequence,
     CapExceededError,
+    ChannelMatrix,
     DupApproach,
     count_deletion_patterns,
     runs,
@@ -272,8 +274,9 @@ def walk_table(n: int, m: int) -> dict[str, tuple[int, str]]:
 
 
 def walk_channel_matrix(n: int, d: float) -> tuple[np.ndarray, np.ndarray]:
-    """(W, h) as `delcap.baa.build_channel_matrix` built them column by column
-    from `prefix_walk_counts`, h[j] = sum_y w ln w summed in column order."""
+    """Dense (W, h) built column by column from `prefix_walk_counts`: row x,
+    column 2^m - 1 + v for output v of length m, h[x] = sum_y w ln w summed
+    in column order."""
     w = np.empty((1 << n, (1 << (n + 1)) - 1), dtype=np.float64)
     h = np.zeros(1 << n)
     column = 0
@@ -286,6 +289,13 @@ def walk_channel_matrix(n: int, d: float) -> tuple[np.ndarray, np.ndarray]:
             h += col * np.log(col + (col == 0.0))
             column += 1
     return w, h
+
+
+def dense_fold(n: int, d: float) -> ChannelMatrix:
+    """The dense channel of `walk_channel_matrix` as the trivial fold: every
+    input and every output is its own class, t = s = 1."""
+    w, h = walk_channel_matrix(n, d)
+    return ChannelMatrix(n=n, d=d, w=w, h=h, t=np.ones(w.shape[1]), s=np.ones(w.shape[0]))
 
 
 def _partitions(m: int):
@@ -512,7 +522,8 @@ def text_dup_estimate(
 
 
 def direct_input_divergences(w, p: np.ndarray) -> np.ndarray:
-    """D_j = sum_y w[j,y] ln(w[j,y]/q(y)) in nats; rows with p_j = 0 are zeroed.
+    """D_j = sum_y w[j,y] ln(w[j,y]/q(y)) in nats over a dense channel
+    (`dense_fold`); rows with p_j = 0 are zeroed.
 
     q(y) can vanish only where every supported input has w = 0, so the
     masked rows are exactly the ones whose divergence is irrelevant to both
@@ -530,19 +541,19 @@ def direct_input_divergences(w, p: np.ndarray) -> np.ndarray:
 
 
 def masked_input_divergences(w, p: np.ndarray) -> np.ndarray:
-    """D_j = sum_y w ln(w/q) = h_j - sum_y w[j,y] ln q(y) nats, for every j;
-    +inf where some y with w[j,y] > 0 has q(y) = 0, only possible off support."""
+    """D_C = h_C - sum_O t_O w[C,O] ln q_O nats, for every class C; +inf where
+    some O with w[C,O] > 0 has q_O = 0, only possible off support."""
     q = p @ w.w
     dead = q <= 0.0
-    D = w.h - w.w @ np.log(q, out=np.zeros_like(q), where=~dead)
+    D = w.h - w.w @ (np.log(q, out=np.zeros_like(q), where=~dead) * w.t)
     if dead.any():
         D[(w.w[:, dead] > 0.0).any(axis=1)] = np.inf
     return D
 
 
 def masked_step(w, p: np.ndarray) -> tuple[np.ndarray, float]:
-    """(D, mutual information in nats) of p; D_j is 0 where p_j = 0, which
-    leaves both the information and the update p_j exp(D_j) unchanged."""
+    """(D, mutual information in nats) of class masses p; D_C is 0 where
+    p_C = 0, which leaves the information and the update p_C exp(D_C) as is."""
     D = np.where(p > 0.0, masked_input_divergences(w, p), 0.0)
     return D, float(p @ D)
 

@@ -16,31 +16,53 @@ from delcap import (
 )
 from delcap import baa, patcount
 from delcap.baa import ChannelMatrix, _input_divergences, _iterate, _step
+from delcap.mdm import _classes
 from oracle_utils import (
+    dense_fold,
     direct_input_divergences,
     masked_input_divergences,
     masked_step,
     reweight,
-    walk_channel_matrix,
 )
 
 
 def _column(y: str) -> int:
-    """W's column of output y: 2^m - 1 + v for the numeral v of length m."""
+    """The dense column of output y: 2^m - 1 + v for the numeral v of length m."""
     return (1 << len(y)) - 1 + (int(y, 2) if y else 0)
 
 
+def _input_class(n: int) -> np.ndarray:
+    """The row of the folded matrix that holds each input x."""
+    canon, reps = _classes(n)
+    return np.searchsorted(reps, canon)
+
+
+def _assert_fold_of(w: ChannelMatrix, dense: ChannelMatrix) -> None:
+    """w is the fold of the dense channel: w[C, O] the mean of the dense
+    column of the rep of O over the inputs of C, h_C = h_x for x in C."""
+    n, cls = w.n, _input_class(w.n)
+    rep_cols = [(1 << m) - 1 + v for m in range(n + 1) for v in _classes(m)[1]]
+    means = np.zeros_like(w.w)
+    np.add.at(means, cls, dense.w[:, rep_cols])
+    assert np.abs(w.w - means / np.bincount(cls)[:, None]).max() <= 1e-15, n
+    assert np.abs(w.h[cls] - dense.h).max() <= 1e-12, n
+
+
 def test_matrix_single_symbol():
-    w = build_channel_matrix(1, 0.3)
+    w = dense_fold(1, 0.3)
     assert w.w.shape == (2, 3)
     cols = [_column(y) for y in ("", "0", "1")]
     assert np.allclose(w.w[0, cols], [0.3, 0.7, 0.0], atol=1e-15)
     assert np.allclose(w.w[1, cols], [0.3, 0.0, 0.7], atol=1e-15)
+    # folded: one input class {0, 1}, output classes {""} and {0, 1}
+    w = build_channel_matrix(1, 0.3)
+    assert np.allclose(w.w, [[0.3, 0.35]], rtol=0, atol=1e-15)
+    assert w.t.tolist() == [1.0, 2.0] and w.s.tolist() == [2.0]
 
 
 def test_matrix_two_symbols_hand_check():
     d = 0.4
-    w = build_channel_matrix(2, d)
+    w = dense_fold(2, d)
     cols = {y: _column(y) for y in ("", "0", "1", "01", "10", "00")}
     x01 = w.w[0b01]
     assert x01[cols[""]] == pytest.approx(d * d, abs=1e-15)
@@ -54,23 +76,48 @@ def test_matrix_two_symbols_hand_check():
 
 
 def test_matrix_rows_are_distributions():
-    w = build_channel_matrix(6, 0.37)
+    w = dense_fold(6, 0.37)
     assert w.w.shape == (64, 2**7 - 1)
     assert np.abs(w.w.sum(axis=1) - 1.0).max() < 1e-12
+    w = build_channel_matrix(6, 0.37)
+    assert w.w.shape == (20, 43)
+    assert np.abs(w.w @ w.t - 1.0).max() < 1e-12
 
 
 @pytest.mark.parametrize("budget", [None, 1 << 12])
 @pytest.mark.parametrize("d", [0.2, 0.7])
 def test_matrix_matches_walk_built_matrix(monkeypatch, d, budget):
-    # bit for bit, h included: its sums must not change order; the small
-    # budget fills W from row blocks of single outputs
+    # the small budget folds w from row blocks of single outputs
     if budget:
         monkeypatch.setattr(patcount, "SPLIT_BYTES", budget)
     for n in range(1, 11):
-        w = build_channel_matrix(n, d)
-        want_w, want_h = walk_channel_matrix(n, d)
-        assert np.array_equal(w.w, want_w), n
-        assert np.array_equal(w.h, want_h), n
+        _assert_fold_of(build_channel_matrix(n, d), dense_fold(n, d))
+
+
+def _dense_reference(n, d, tol=1e-10, max_iter=20000):
+    """(history, kkt residual) of the loop on the dense channel from uniform."""
+    dense = dense_fold(n, d)
+    history, p, _ = _iterate(dense, np.full(2**n, 1.0 / 2**n), tol, max_iter)
+    return history, kkt_residual(dense, p)
+
+
+_AGREEMENT_CASES = [(n, d, 1e-10) for n in range(1, 9) for d in (0.2, 0.5, 0.7)]
+
+
+# (10, 0.5) takes 15,265 dense iterations to tol 1e-10, about 27 s; at
+# tol 1e-4 the two loops still stop on their own brackets, after 1,091
+@pytest.mark.parametrize("n, d, tol", _AGREEMENT_CASES + [(9, 0.2, 1e-10), (10, 0.5, 1e-4)])
+def test_fold_agrees_with_dense_fold(n, d, tol):
+    w = build_channel_matrix(n, d)
+    _assert_fold_of(w, dense_fold(n, d))
+    assert w.s.sum() == 2**n
+    lengths = np.repeat(np.arange(n + 1), [len(_classes(m)[1]) for m in range(n + 1)])
+    assert np.bincount(lengths, w.t).tolist() == [2.0**m for m in range(n + 1)]
+    history, kkt = _dense_reference(n, d, tol)
+    report = baa_capacity(n, d, tol)
+    assert report.iterations == len(history)
+    assert np.abs(np.subtract(report.history, history)).max() <= 1e-12
+    assert report.kkt_residual == pytest.approx(kkt, rel=0, abs=1e-12)
 
 
 def test_matrix_cap():
@@ -119,7 +166,7 @@ def test_unconverged_residual_is_of_the_proxys_distribution(n, d, max_iter):
     assert not report.converged and report.iterations == max_iter
     # rebuild the distribution whose information is the proxy
     w = build_channel_matrix(n, d)
-    p = np.full(2**n, 1.0 / 2**n)
+    p = w.s / 2**n
     for _ in range(max_iter - 1):
         p = reweight(p, _step(w, p)[0])
     assert _step(w, p)[1] / (n * math.log(2.0)) == report.history[-1]
@@ -134,7 +181,7 @@ def test_proxy_below_raw_ml_bound():
 
 def test_iterate_preserves_complement_symmetry():
     n, d = 5, 0.45
-    w = build_channel_matrix(n, d)
+    w = dense_fold(n, d)
     p = np.full(2**n, 1.0 / 2**n)
     info_prev = -1.0
     for _ in range(50):
@@ -148,17 +195,33 @@ def test_iterate_preserves_complement_symmetry():
 
 
 def test_kkt_residual_uniform_single_symbol():
-    w = build_channel_matrix(1, 0.3)
+    w = dense_fold(1, 0.3)
     assert kkt_residual(w, np.array([0.5, 0.5])) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_kkt_residual_checks_inputs_off_a_point_mass_support():
     # inputs with p_j exactly 0 are scored against lambda, not masked to 0;
     # the same p with 1e-13 on the other inputs already read 19.4
-    w = build_channel_matrix(2, 0.3)
+    w = dense_fold(2, 0.3)
     for p in ([1.0, 0.0, 0.0, 0.0], [0.5, 0.0, 0.0, 0.5]):
         assert kkt_residual(w, np.array(p)) > 1e-3
     assert kkt_residual(w, np.array([1 - 3e-13, 1e-13, 1e-13, 1e-13])) > 1e-3
+
+
+def test_kkt_residual_support_is_per_input_mass():
+    # class 2 of n = 6 has four inputs and D_C < lambda; at 2e-12 its inputs
+    # hold 5e-13 each, under KKT_SUPPORT_EPS, so it is off support as on the
+    # dense channel, and D_C - lambda < 0 adds nothing
+    n, d = 6, 0.7
+    w, cls = build_channel_matrix(n, d), _input_class(n)
+    _, p, _ = _iterate(w, w.s / 2**n, 1e-10, 20000)
+    assert w.s[2] == 4
+    p[2] = 2e-12
+    p /= p.sum()
+    D = _input_divergences(w, p)
+    assert D[2] < p @ D
+    want = kkt_residual(dense_fold(n, d), p[cls] / w.s[cls])
+    assert kkt_residual(w, p) == pytest.approx(want, rel=0, abs=1e-12)
 
 
 def _test_distributions(size):
@@ -166,33 +229,37 @@ def _test_distributions(size):
     uniform = np.full(size, 1.0 / size)
     random = rng.random(size) + 0.01
     sparse = rng.random(size) + 0.01
-    sparse[::2] = 0.0  # no input ending in 0, so some outputs get q(y) = 0
+    if size > 1:  # n = 1 has one input class, which keeps its mass
+        sparse[::2] = 0.0  # no input ending in 0, so some outputs get q(y) = 0
     return uniform, random / random.sum(), sparse / sparse.sum()
 
 
 def test_divergences_match_direct_formula():
+    # class masses spread evenly over each class's inputs, against the
+    # direct formula on the dense channel
     for n in range(1, 9):
+        cls = _input_class(n)
         for d in (0.1, 0.5, 0.9):
-            w = build_channel_matrix(n, d)
-            for p in _test_distributions(2**n):
-                expected = direct_input_divergences(w, p)
+            w, dense = build_channel_matrix(n, d), dense_fold(n, d)
+            for p in _test_distributions(len(w.s)):
+                expected = direct_input_divergences(dense, p[cls] / w.s[cls])
                 D, info = _step(w, p)
-                assert np.abs(D - expected).max() <= 1e-12
-                assert info == pytest.approx(float(p @ expected), rel=0, abs=1e-12)
+                assert np.abs(D[cls] - expected).max() <= 1e-12
+                assert info == pytest.approx(float(p @ D), rel=0, abs=1e-12)
+                assert info == pytest.approx(float(p[cls] / w.s[cls] @ expected), rel=0, abs=1e-12)
                 unmasked = _input_divergences(w, p)
                 assert np.array_equal(unmasked[p > 0], D[p > 0])
                 new = reweight(p, D)
-                direct = p * np.exp(expected)
-                assert np.abs(new - direct / direct.sum()).max() <= 1e-12
+                direct = p[cls] / w.s[cls] * np.exp(expected)
+                assert np.abs(new - np.bincount(cls, direct / direct.sum())).max() <= 1e-12
 
 
 def test_divergences_match_masked_oracle_bit_for_bit():
-    # the full-support fast path and the masked path it skips give the same
-    # bits; the sparse distribution takes the masked path itself
+    # on the folded channel; the sparse distribution leaves some q_O = 0
     for n in range(1, 11):
         for d in (0.1, 0.5, 0.9):
             w = build_channel_matrix(n, d)
-            for p in _test_distributions(2**n):
+            for p in _test_distributions(len(w.s)):
                 assert np.array_equal(
                     _input_divergences(w, p), masked_input_divergences(w, p)
                 ), (n, d)
@@ -217,7 +284,7 @@ def _masked_oracle_run(w, p, tol=1e-10, max_iter=20000):
 @pytest.mark.parametrize("n, d", [(6, 0.7), (9, 0.2), (5, 0.7), (8, 0.3)])
 def test_capacity_matches_masked_oracle_bit_for_bit(monkeypatch, n, d):
     w = build_channel_matrix(n, d)
-    history, p, _ = _masked_oracle_run(w, np.full(2**n, 1.0 / 2**n))
+    history, p, _ = _masked_oracle_run(w, w.s / 2**n)
     report = baa_capacity(n, d)
     assert report.history == history
     assert report.iterations == len(history)
@@ -237,13 +304,14 @@ def _dominated_channel(outputs=4):
     """
     w = np.zeros((5, outputs))
     w[:4, :4], w[4, :4] = np.eye(4), 0.25
-    return ChannelMatrix(n=2, d=0.5, w=w, h=(w * np.log(w + (w == 0.0))).sum(axis=1))
+    h = (w * np.log(w + (w == 0.0))).sum(axis=1)
+    return ChannelMatrix(n=2, d=0.5, w=w, h=h, t=np.ones(outputs), s=np.ones(5))
 
 
 def _fallback_run(start):
     """(channel, start p, tol, max_iter) of a run that takes the masked step."""
     if start == "sparse":  # q has exact zeros from the first iteration on
-        return build_channel_matrix(5, 0.5), _test_distributions(32)[2], 1e-10, 20000
+        return dense_fold(5, 0.5), _test_distributions(32)[2], 1e-10, 20000
     if start == "dead":  # p_3 = 0, q has no zero: unmasked, D_3 would be the max
         return _dominated_channel(), np.array([0.3, 0.3, 0.3, 0.0, 0.1]), 1e-10, 20000
     if start == "unreached":  # q(y) = 0 with p full: unmasked, 0 ln 0 would be NaN
@@ -285,8 +353,9 @@ def test_no_warning_leaks_and_error_state_is_restored():
 
 
 def _direct_history(n, d, tol=1e-10, max_iter=20000):
-    """Mutual-information history of the iteration driven by the direct formula."""
-    w = build_channel_matrix(n, d)
+    """Mutual-information history of the iteration driven by the direct
+    formula on the dense channel."""
+    w = dense_fold(n, d)
     p = np.full(2**n, 1.0 / 2**n)
     history = []
     for _ in range(max_iter):
