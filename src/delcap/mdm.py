@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -187,21 +188,28 @@ def _dup_sum_assign_to_last(m: int, extra: int, w: tuple):
     runs first.  Peeling runs from the end keeps the handout deterministic:
     the final run takes e = min(r, l), so the state is (remaining length,
     leftover bits) and h(t, r) = sum_l w[l][e] h(t-l, r-e); the factor
-    2 counts the starting bit, after which run values are forced.  Gamma
-    weights are floats, so the terms are added in ascending l to an int 0
-    one at a time, never by `sum`, whose float rounding differs across
-    Python versions.
+    2 counts the starting bit, after which run values are forced.  A run
+    with l <= r keeps t - r, one with l > r drops to r = 0, so h(m, extra)
+    reads only the column r = 0 for t <= d = m - extra and the diagonal
+    t - r = d: O(d^2 + extra*m) multiply-adds, not O(m^2 extra).  Gamma
+    weights are floats and have extra = 0, so only the column runs; its
+    terms are added in ascending l to an int 0 one at a time, never by
+    `sum`, whose float rounding differs across Python versions.
     """
-    h = [[0] * (extra + 1) for _ in range(m + 1)]
-    h[0][0] = 1
-    for t in range(1, m + 1):
-        for r in range(extra + 1):
-            acc = 0
-            for l in range(1, t + 1):
-                e = r if r < l else l
-                acc += w[l][e] * h[t - l][r - e]
-            h[t][r] = acc
-    return 2 * h[m][extra]
+    d = m - extra
+    col = [1] + [0] * d
+    for t in range(1, d + 1):
+        acc = 0
+        for l in range(1, t + 1):
+            acc += w[l][0] * col[t - l]
+        col[t] = acc
+    diag = [col[d]]  # diag[r] = h(d + r, r); integer weights only from here
+    for r in range(1, extra + 1):
+        diag.append(
+            sum(w[l][l] * diag[r - l] for l in range(1, r + 1))
+            + sum(w[l][r] * col[d + r - l] for l in range(r + 1, d + r + 1))
+        )
+    return 2 * diag[extra]
 
 
 def _dup_sum_assign_by_length(m: int, extra: int, w: tuple) -> int:
@@ -215,19 +223,22 @@ def _dup_sum_assign_by_length(m: int, extra: int, w: tuple) -> int:
     The state is (t remaining, k parts so far); each added l-part multiplies
     the weight by the run weight w[l][e] with e = min(left, l), and adding a
     parts to k multiplies the orderings by C(k+a, a), read from a Pascal
-    table, whose product over lengths is k!/prod(a_l!).
-    Updating in place with t ascending is safe: a step only writes to
-    smaller t, already read this round.
+    table, whose product over lengths is k!/prod(a_l!).  At step l every
+    part so far is longer than l, so k <= (m-t) // (l+1), which bounds the
+    work by about m^3/6 multiply-adds.  Updating in place with t ascending
+    is safe: a step only writes to smaller t, already read this round.
     """
-    # k parts so far plus a new ones never exceed the m bits of y
-    pascal = [[math.comb(k + a, a) for a in range(m + 1 - k)] for k in range(m + 1)]
+    # pascal[k][a] = C(k+a, a) for k + a <= m: each row is the prefix sums of the last
+    pascal = [[1] * (m + 1)]
+    for k in range(m):
+        pascal.append(list(itertools.accumulate(pascal[k][: m - k])))
     g = [[0] * (m + 1) for _ in range(m + 1)]
     g[m][0] = 1
     for l in range(m, 0, -1):
         wl = w[l]
         for t in range(l, m + 1):
             top = max(0, extra - (m - t))
-            for k in range(m - t + 1):
+            for k in range((m - t) // (l + 1) + 1):
                 acc = g[t][k]
                 if not acc:
                     continue

@@ -37,10 +37,12 @@ from .bitseq import BinarySequence, CapExceededError
 # practical oracle.
 ORACLE_MAX_N = 20
 
-# The split kernel's memory is bounded by SPLIT_BYTES at every n.  The dense
-# product costs 2^n * band multiply-adds a class (74-124 ms at n = 24 on a
-# 2-vCPU host, one BLAS thread), the pruned one 2-6 ms there (m = 6, 12,
-# 18); 24 stays the exhaustive search cap until a sweep past it is measured.
+# SPLIT_BYTES bounds the split kernel's product blocks at every n and its
+# tables up to n = 20; from n = 21 one output's tables can exceed their share
+# (852 KB at n = 24, m = 12) and make a batch alone (`split_batch`).  The
+# dense product costs 2^n * band multiply-adds a class (74-124 ms at n = 24
+# on 2 vCPUs, one BLAS thread), the pruned one 2-6 ms there (m = 6, 12, 18);
+# 24 stays the exhaustive search cap until a sweep past it is measured.
 # Every table entry, product entry, bound and partial sum of the kernel is
 # an integer at most C(n, m), which its float32 COUNT_DTYPE holds exactly
 # for every m up to n = 26 (C(26, 13) < 2^24) and not beyond
@@ -263,9 +265,10 @@ def split_counts(ys, m: int, n: int):
     which is at most 2^24 for every n <= 26, and float32 holds every
     integer up to 2^24.
 
-    The working set stays within SPLIT_BYTES: the tables of a batch fit
-    three quarters of it, and each block (the whole products of several
-    outputs, or rows u of one output's) fits the last quarter.
+    Each block (the whole products of several outputs, or rows u of one
+    output's) fits the last quarter of SPLIT_BYTES.  The tables of a batch
+    fit the other three quarters unless one output's alone exceed them,
+    which happens from n = 21 on (see `split_batch`).
     """
     return _split_blocks(split_tables(ys, m, n), n)
 

@@ -34,6 +34,8 @@ from delcap.mdm import _classes, _format_checkpoint_line, _orbit, _parse_checkpo
 from oracle_utils import (
     flip_text,
     lambda_dup_sum,
+    lambda_dup_sum_assign_to_last,
+    lambda_run_weight,
     prefix_walk_counts,
     text_canonical_form,
     text_dup_estimate,
@@ -185,6 +187,24 @@ def test_dup_sum_matches_lambda_weight_oracle():
                 got, want = dup_sum(n, m, approach), lambda_dup_sum(n, m, approach)
                 assert type(got) is type(want), (n, m, approach)
                 assert got == want, (n, m, approach)
+
+
+def test_assign_to_last_column_and_diagonal_match_full_table():
+    # every leftover count extra < m, not only n % m of the lengths above:
+    # n = base*m + extra gives the weight table with extra + 1 columns
+    approach = DupApproach.ASSIGN_TO_LAST
+    for m in range(1, 31):
+        for base in (1, 2):
+            for extra in range(m):
+                n = base * m + extra
+                want = lambda_dup_sum_assign_to_last(m, extra, lambda_run_weight(n, m, approach))
+                got = mdm._dup_sum_assign_to_last(m, extra, mdm._run_weights(n, m, approach))
+                assert type(got) is int and got == want, (m, base, extra)
+        # the Gamma weights take the column alone, bit for bit
+        for n in range(m + 1, 2 * m + 1):
+            want = lambda_dup_sum_assign_to_last(m, 0, lambda_run_weight(n, m, DupApproach.GAMMA))
+            got = mdm._dup_sum_assign_to_last(m, 0, mdm._run_weights(n, m, DupApproach.GAMMA))
+            assert type(got) is type(want) and got == want, (n, m)
 
 
 def test_dup_sum_is_exact_sum_of_estimates():
