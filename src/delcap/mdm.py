@@ -24,7 +24,8 @@ functions.
 `dup_sum` sums the estimate over all y of one length by a recurrence over
 runs, which is what the duplication bound of `bounds` takes the log of.
 The estimate and both recurrences read one cached table of run weights per
-(n, m, approach), `_run_weights`.
+(n, m), or for the Gamma estimate of a fractional factor its own,
+`_run_weights`.
 """
 
 from __future__ import annotations
@@ -91,7 +92,6 @@ class MdmTable:
     rows: list
 
 
-@functools.cache
 def _run_weights(n: int, m: int, approach: DupApproach) -> tuple:
     """w[l][e]: the ways an l-run of y embeds in its stretched run, 0 <= l <= m.
 
@@ -102,10 +102,16 @@ def _run_weights(n: int, m: int, approach: DupApproach) -> tuple:
     w over the runs of y.  The Gamma estimate of a fractional F = n / m
     generalizes C(l*F, l) to Gamma(l*F+1) / (Gamma(l+1) Gamma(l*F-l+1)) and
     ignores e: its rows hold the one column e = 0.  `dup_estimate` and both
-    `dup_sum` recurrences read this one table.
+    `dup_sum` recurrences read this one table, cached once per (n, m) for
+    the integer weights every approach shares and once for Gamma's.
     """
+    return _weight_table(n, m, bool(n % m) and approach is DupApproach.GAMMA)
+
+
+@functools.cache
+def _weight_table(n: int, m: int, gamma: bool) -> tuple:
     base, extra = divmod(n, m)
-    if extra and approach is DupApproach.GAMMA:
+    if gamma:
         F = n / m
         return tuple(
             (math.exp(math.lgamma(l * F + 1) - math.lgamma(l + 1) - math.lgamma(l * F - l + 1)),)

@@ -36,8 +36,13 @@ slow references the new paths must agree with:
 - `masked_input_divergences` and `masked_step`, those two products with
   the zero-mass masking done on every call, on any fold, which the
   in-place loop of `delcap.baa._iterate` replaced on every iteration
-  without an exact zero (bit for bit), and `reweight`, the update
-  p exp(D) / sum that its in-place update replaced (bit for bit).
+  without an exact zero (bit for bit); `reweight`, the update
+  p exp(mu D) / sum, and `relaxation`, its step factor mu from the last
+  two brackets, which its in-place update replaced (bit for bit), with
+  `masked_run`, the whole loop on them;
+- `plain_run`, the loop with the plain update p exp(D) / sum that the
+  over-relaxed update replaced (the tests bound its iteration counts and
+  proxies, not its values).
 
 The last section holds small formulas that nothing in the library calls,
 kept with the tests that pin them: `transition_probability`, `mu_d`,
@@ -558,10 +563,69 @@ def masked_step(w, p: np.ndarray) -> tuple[np.ndarray, float]:
     return D, float(p @ D)
 
 
-def reweight(p: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """The multiplicative update p_j exp(D_j), normalized to sum 1."""
-    new = p * np.exp(D)
+def relaxation(last: float, gap: float) -> float:
+    """The step factor mu from the previous and current brackets
+    max_j D_j - info (nats): 1 when there is no finite positive previous
+    bracket or the current one is not finite, 2 when the bracket did not
+    shrink, else Aitken's 1 / (1 - gap / last), at most 2."""
+    if not (math.isfinite(last) and math.isfinite(gap)) or last <= 0.0:
+        return 1.0
+    if gap >= last:
+        return 2.0
+    return min(2.0, last / (last - gap))
+
+
+def reweight(p: np.ndarray, D: np.ndarray, mu: float = 1.0) -> np.ndarray:
+    """The multiplicative update p_j exp(mu D_j), normalized to sum 1."""
+    new = p * np.exp(mu * D)
     return new / new.sum()
+
+
+def _masked_scores(w, p: np.ndarray) -> tuple[np.ndarray, float]:
+    """`masked_step` after zeroing, in place, every p_C so small that an
+    output only C reaches has underflowed to q_O = 0 (D_C = +inf)."""
+    D, info = masked_step(w, p)
+    while math.isinf(info):
+        p[np.isinf(D)] = 0.0
+        D, info = masked_step(w, p)
+    return D, info
+
+
+def masked_run(w, p: np.ndarray, tol: float = 1e-10, max_iter: int = 20000):
+    """(history in bits per symbol, last p scored, converged) of the loop on
+    `masked_step` from a copy of p, each update `reweight` by the
+    `relaxation` of the last two brackets."""
+    scale = w.n * math.log(2.0)
+    p, history, last = np.array(p, dtype=np.float64), [], math.nan
+    while True:
+        D, info = _masked_scores(w, p)
+        history.append(info / scale)
+        gap = float(D.max()) - info
+        converged = gap / scale <= tol
+        if converged or len(history) == max_iter:
+            return history, p, converged
+        mu, last = relaxation(last, gap), gap
+        p = reweight(p, D, mu)
+
+
+def plain_run(w, p: np.ndarray, tol: float = 1e-10, max_iter: int = 20000):
+    """(history in bits per symbol, last p scored, converged) of the plain
+    update p exp(D) / sum from a copy of p, the loop that over-relaxation
+    replaced; for speed the divergences are taken unmasked, and from
+    `masked_step` only when the information is not finite or some p_C is 0."""
+    scale = w.n * math.log(2.0)
+    p, history = np.array(p, dtype=np.float64), []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while True:
+            D = w.h - w.w @ (np.log(p @ w.w) * w.t)
+            info = float(p @ D)
+            if not (math.isfinite(info) and p.all()):
+                D, info = _masked_scores(w, p)
+            history.append(info / scale)
+            converged = (float(D.max()) - info) / scale <= tol
+            if converged or len(history) == max_iter:
+                return history, p, converged
+            p = reweight(p, D)
 
 
 def transition_probability(x: BinarySequence, y: BinarySequence, d: float) -> float:

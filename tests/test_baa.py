@@ -21,7 +21,10 @@ from oracle_utils import (
     dense_fold,
     direct_input_divergences,
     masked_input_divergences,
+    masked_run,
     masked_step,
+    plain_run,
+    relaxation,
     reweight,
 )
 
@@ -104,8 +107,8 @@ def _dense_reference(n, d, tol=1e-10, max_iter=20000):
 _AGREEMENT_CASES = [(n, d, 1e-10) for n in range(1, 9) for d in (0.2, 0.5, 0.7)]
 
 
-# (10, 0.5) takes 15,265 dense iterations to tol 1e-10, about 27 s; at
-# tol 1e-4 the two loops still stop on their own brackets, after 1,091
+# (10, 0.5) takes 7,631 dense iterations to tol 1e-10, about 7 s; at
+# tol 1e-4 the two loops still stop on their own brackets, after 547
 @pytest.mark.parametrize("n, d, tol", _AGREEMENT_CASES + [(9, 0.2, 1e-10), (10, 0.5, 1e-4)])
 def test_fold_agrees_with_dense_fold(n, d, tol):
     w = build_channel_matrix(n, d)
@@ -167,9 +170,11 @@ def test_unconverged_residual_is_of_the_proxys_distribution(n, d, max_iter):
     assert not report.converged and report.iterations == max_iter
     # rebuild the distribution whose information is the proxy
     w = build_channel_matrix(n, d)
-    p = w.s / 2**n
+    p, last = w.s / 2**n, math.nan
     for _ in range(max_iter - 1):
-        p = reweight(p, _step(w, p)[0])
+        D, info = _step(w, p)
+        gap = float(D.max()) - info
+        p, last = reweight(p, D, relaxation(last, gap)), gap
     assert _step(w, p)[1] / (n * math.log(2.0)) == report.history[-1]
     assert report.kkt_residual == kkt_residual(w, p)
 
@@ -270,22 +275,10 @@ def test_divergences_match_masked_oracle_bit_for_bit():
                 assert info == want_info, (n, d)
 
 
-def _masked_oracle_run(w, p, tol=1e-10, max_iter=20000):
-    """(history, last p scored, converged) of the loop on `masked_step`."""
-    history = []
-    while True:
-        D, info = masked_step(w, p)
-        history.append(info / (w.n * math.log(2.0)))
-        converged = (float(D.max()) - info) / (w.n * math.log(2.0)) <= tol
-        if converged or len(history) == max_iter:
-            return history, p, converged
-        p = reweight(p, D)
-
-
 @pytest.mark.parametrize("n, d", [(6, 0.7), (9, 0.2), (5, 0.7), (8, 0.3)])
 def test_capacity_matches_masked_oracle_bit_for_bit(monkeypatch, n, d):
     w = build_channel_matrix(n, d)
-    history, p, _ = _masked_oracle_run(w, w.s / 2**n)
+    history, p, _ = masked_run(w, w.s / 2**n)
     report = baa_capacity(n, d)
     assert report.history == history
     assert report.iterations == len(history)
@@ -293,15 +286,53 @@ def test_capacity_matches_masked_oracle_bit_for_bit(monkeypatch, n, d):
     assert report.kkt_residual == kkt_residual(w, p)
 
 
+_GRID_D = (0.02, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_relaxed_loop_against_plain_loop(n):
+    # the plain update p exp(D) / sum is the reference: the over-relaxed run
+    # never takes more iterations, converges wherever it converges, to the
+    # same proxy, and its history never falls
+    for d in _GRID_D:
+        w = build_channel_matrix(n, d)
+        plain, _, plain_converged = plain_run(w, w.s / 2**n)
+        report = baa_capacity(n, d)
+        assert report.iterations <= len(plain), d
+        if plain_converged:
+            assert report.converged, d
+            assert report.capacity_proxy == pytest.approx(plain[-1], rel=0, abs=1e-9), d
+        hist = report.history
+        assert all(b - a >= -1e-12 for a, b in zip(hist, hist[1:])), d
+        if (n, d) in ((6, 0.7), (8, 0.5)):  # 6,619 of 13,241 and 1,957 of 3,919
+            assert report.iterations <= 0.55 * len(plain), d
+
+
+def test_underflowed_mass_leaves_the_support():
+    # at (7, 0.8) class masses fall until the full-length output that only
+    # the class reaches underflows to q = 0, an infinite divergence on
+    # support and an infinite information; the loop drops those masses to 0
+    # and goes on with a finite information, as the masked oracle does
+    w = build_channel_matrix(7, 0.8)
+    history, p, converged = _iterate(w, w.s / 2**7, 1e-10, 20000)
+    want_history, want_p, want_converged = masked_run(w, w.s / 2**7)
+    assert history == want_history and converged == want_converged
+    assert np.array_equal(p, want_p)
+    assert all(map(math.isfinite, history)) and 0 < np.count_nonzero(p) < p.size
+    # the dropped classes reach outputs with q = 0: scored, not hidden
+    assert kkt_residual(w, p) == math.inf
+
+
 def _dominated_channel(outputs=4):
     """Four noiseless inputs and a fifth whose output is uniform over theirs;
     outputs past the fourth are reached by no input.
 
-    No deletion-channel input loses its mass to underflow: the full-length
-    output only that input reaches keeps its divergence large while its mass
-    is small.  Here the fifth input's divergence is ln 4 below the others',
-    so each update divides its mass by about 4, and from the uniform start
-    it reaches exactly 0 after about 540 iterations.
+    A deletion-channel input's mass underflows only together with the
+    full-length output that only that input reaches, whose q then reads 0
+    (see `test_underflowed_mass_leaves_the_support`).  Here the fifth
+    input's divergence is ln 4 below the others', so each update divides
+    its mass by about 4, and from the uniform start it reaches exactly 0
+    after about 540 iterations with every q_O positive.
     """
     w = np.zeros((5, outputs))
     w[:4, :4], w[4, :4] = np.eye(4), 0.25
@@ -324,9 +355,10 @@ def _fallback_run(start):
 
 @pytest.mark.parametrize("start", ["sparse", "dead", "unreached", "underflow"])
 def test_fallback_matches_masked_oracle_bit_for_bit(monkeypatch, start):
-    # the uniform start on the deletion channel never takes the masked step
+    # the uniform start on the deletion channel takes the masked step only
+    # after a mass underflows (see test_underflowed_mass_leaves_the_support)
     w, p0, tol, max_iter = _fallback_run(start)
-    want_history, want_p, want_converged = _masked_oracle_run(w, p0, tol, max_iter)
+    want_history, want_p, want_converged = masked_run(w, p0, tol, max_iter)
     calls = []
     monkeypatch.setattr(baa, "_step", lambda w, p: calls.append(1) or _step(w, p))
     kept = p0.copy()
@@ -346,7 +378,7 @@ def test_no_warning_leaks_and_error_state_is_restored():
     before = np.geterr()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for n, d in [(4, 0.5), (8, 0.5), (6, 0.7), (9, 0.2), (5, 0.7), (8, 0.3)]:
+        for n, d in [(4, 0.5), (8, 0.5), (6, 0.7), (9, 0.2), (5, 0.7), (8, 0.3), (7, 0.8)]:
             baa_capacity(n, d)
         for start in ("sparse", "dead", "unreached", "underflow"):
             _iterate(*_fallback_run(start))
@@ -354,18 +386,19 @@ def test_no_warning_leaks_and_error_state_is_restored():
 
 
 def _direct_history(n, d, tol=1e-10, max_iter=20000):
-    """Mutual-information history of the iteration driven by the direct
-    formula on the dense channel."""
+    """Mutual-information history of the over-relaxed iteration driven by
+    the direct formula on the dense channel."""
     w = dense_fold(n, d)
     p = np.full(2**n, 1.0 / 2**n)
-    history = []
+    history, last = [], math.nan
     for _ in range(max_iter):
         D = direct_input_divergences(w, p)
         info = float(p @ D)
         history.append(info / (n * math.log(2.0)))
-        if (float(D.max()) - info) / (n * math.log(2.0)) <= tol:
+        gap = float(D.max()) - info
+        if gap / (n * math.log(2.0)) <= tol:
             break
-        p = p * np.exp(D)
+        p, last = p * np.exp(relaxation(last, gap) * D), gap
         p /= p.sum()
     return history
 
