@@ -13,6 +13,9 @@ two np.dot products, P w and w (t ln q), and allocates nothing.  The masked
 step (ln q = 0 where q = 0, D_C = 0 where P_C = 0) redoes an iteration only
 on one of those exact zeros; from the uniform start that is a mass so small
 that an output only its class reaches underflows to q = 0, and it drops to 0.
+A run whose support shrank does not report convergence: the max over the
+support left leaves out a class that Blahut's bracket must score, whose
+divergence is infinite once its own output reads q = 0.
 Internals work in nats, the API reports bits per symbol.
 """
 
@@ -138,7 +141,8 @@ def baa_capacity(
 
     The bracket is (max_C D_C - sum_C p_C D_C) / n in bits: an upper and
     lower capacity estimate from the same divergences.  Non-convergence
-    within max_iter is reported through the `converged` flag, not an error.
+    within max_iter is reported through the `converged` flag, not an error,
+    as is a run that lost a class mass to underflow (see `_iterate`).
     The KKT residual is of the last distribution scored, the one whose
     information is the capacity proxy, converged or not.  The iteration
     allocates its two vectors once, before the loop.
@@ -174,15 +178,18 @@ def baa_capacity(
 def _iterate(w: ChannelMatrix, p: np.ndarray, tol: float, max_iter: int) -> tuple:
     """(history in bits per symbol, last p scored, converged) from a copy of p:
     `_step` and the update p exp(mu D) / sum of `baa_capacity`, op for op,
-    in place, with one more in-place multiply when mu != 1; an exact zero in
+    in place, with one more in-place multiply by mu; an exact zero in
     q (max D not finite) or in p sends the iteration through `_step` itself,
     after which a class whose D_C is infinite on support, a mass so small
-    that q underflowed to 0 on an output only it reaches, drops to p_C = 0."""
+    that q underflowed to 0 on an output only it reaches, drops to p_C = 0.
+    The masked max D then leaves that class out, so a run whose support
+    shrank below that of the start never reports convergence."""
     W, h, t, scale = w.w, w.h, w.t, w.n * _LN2
     p = np.array(p, dtype=np.float64)
     q, D = np.empty(W.shape[1]), np.empty(W.shape[0])
     history: list[float] = []
     last = math.nan  # the previous bracket in nats; none before the first update
+    support = np.count_nonzero(p)
     # ln 0 and 0 * ln 0 come only from an exact zero in q, and _step redoes that iteration
     with np.errstate(divide="ignore", invalid="ignore"):
         while True:
@@ -201,15 +208,14 @@ def _iterate(w: ChannelMatrix, p: np.ndarray, tol: float, max_iter: int) -> tupl
                 top = float(np.maximum.reduce(D))
             history.append(info / scale)
             gap = top - info
-            converged = gap / scale <= tol
+            converged = bool(gap / scale <= tol and np.count_nonzero(p) == support)
             if converged or len(history) == max_iter:
                 return history, p, converged
             mu = 1.0
             if 0.0 < last < math.inf and math.isfinite(gap):
                 mu = 2.0 if gap >= last else min(2.0, last / (last - gap))
             last = gap
-            if mu != 1.0:
-                np.multiply(D, mu, out=D)
+            np.multiply(D, mu, out=D)
             np.multiply(p, np.exp(D, out=D), out=p)  # the residual is of the proxy's p
             np.divide(p, np.add.reduce(p), out=p)
 

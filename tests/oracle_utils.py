@@ -594,14 +594,16 @@ def _masked_scores(w, p: np.ndarray) -> tuple[np.ndarray, float]:
 def masked_run(w, p: np.ndarray, tol: float = 1e-10, max_iter: int = 20000):
     """(history in bits per symbol, last p scored, converged) of the loop on
     `masked_step` from a copy of p, each update `reweight` by the
-    `relaxation` of the last two brackets."""
+    `relaxation` of the last two brackets; a run whose support shrank below
+    that of the start is not converged."""
     scale = w.n * math.log(2.0)
     p, history, last = np.array(p, dtype=np.float64), [], math.nan
+    support = int((p > 0.0).sum())
     while True:
         D, info = _masked_scores(w, p)
         history.append(info / scale)
         gap = float(D.max()) - info
-        converged = gap / scale <= tol
+        converged = gap / scale <= tol and int((p > 0.0).sum()) == support
         if converged or len(history) == max_iter:
             return history, p, converged
         mu, last = relaxation(last, gap), gap
@@ -612,9 +614,11 @@ def plain_run(w, p: np.ndarray, tol: float = 1e-10, max_iter: int = 20000):
     """(history in bits per symbol, last p scored, converged) of the plain
     update p exp(D) / sum from a copy of p, the loop that over-relaxation
     replaced; for speed the divergences are taken unmasked, and from
-    `masked_step` only when the information is not finite or some p_C is 0."""
+    `masked_step` only when the information is not finite or some p_C is 0;
+    a run whose support shrank below that of the start is not converged."""
     scale = w.n * math.log(2.0)
     p, history = np.array(p, dtype=np.float64), []
+    support = int((p > 0.0).sum())
     with np.errstate(divide="ignore", invalid="ignore"):
         while True:
             D = w.h - w.w @ (np.log(p @ w.w) * w.t)
@@ -622,7 +626,8 @@ def plain_run(w, p: np.ndarray, tol: float = 1e-10, max_iter: int = 20000):
             if not (math.isfinite(info) and p.all()):
                 D, info = _masked_scores(w, p)
             history.append(info / scale)
-            converged = (float(D.max()) - info) / scale <= tol
+            gap = float(D.max()) - info
+            converged = gap / scale <= tol and int((p > 0.0).sum()) == support
             if converged or len(history) == max_iter:
                 return history, p, converged
             p = reweight(p, D)

@@ -301,11 +301,34 @@ def test_relaxed_loop_against_plain_loop(n):
         assert report.iterations <= len(plain), d
         if plain_converged:
             assert report.converged, d
+        if report.converged:  # a closed bracket certifies the distribution
+            assert math.isfinite(report.kkt_residual), d
             assert report.capacity_proxy == pytest.approx(plain[-1], rel=0, abs=1e-9), d
         hist = report.history
         assert all(b - a >= -1e-12 for a, b in zip(hist, hist[1:])), d
         if (n, d) in ((6, 0.7), (8, 0.5)):  # 6,619 of 13,241 and 1,957 of 3,919
             assert report.iterations <= 0.55 * len(plain), d
+
+
+@pytest.mark.parametrize("n", range(9, 13))
+def test_relaxed_history_never_falls_past_the_grid(n):
+    # past the plain-loop grid: low d runs to convergence, high d for its
+    # first 400 updates, where the steps are largest; no history falls
+    for d, max_iter in ((0.02, 20000), (0.1, 20000), (0.3, 20000), (0.8, 400), (0.95, 400)):
+        report = baa_capacity(n, d, max_iter=max_iter)
+        hist = report.history
+        assert all(b - a >= -1e-12 for a, b in zip(hist, hist[1:])), d
+        if report.converged:
+            assert math.isfinite(report.kkt_residual), d
+
+
+def test_bracket_over_a_shrunken_support_is_not_convergence():
+    # at (9, 0.9) class masses underflow and drop to 0, and the bracket over
+    # the classes left closes after 8,375 iterations; it leaves out the
+    # dropped classes, whose divergence is infinite, so it certifies nothing
+    report = baa_capacity(9, 0.9, max_iter=9000)
+    assert report.kkt_residual == math.inf
+    assert report.converged is False and report.iterations == 9000
 
 
 def test_underflowed_mass_leaves_the_support():
@@ -321,6 +344,8 @@ def test_underflowed_mass_leaves_the_support():
     assert all(map(math.isfinite, history)) and 0 < np.count_nonzero(p) < p.size
     # the dropped classes reach outputs with q = 0: scored, not hidden
     assert kkt_residual(w, p) == math.inf
+    # and the bracket over the support left certifies nothing
+    assert converged is False
 
 
 def _dominated_channel(outputs=4):
