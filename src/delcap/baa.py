@@ -8,8 +8,13 @@ reports the per-symbol capacity proxy with its convergence bracket, the KKT
 residual of the final distribution, and the additive sandwich that pins the
 true capacity under the proxy.  The update P exp(mu D) / sum is
 over-relaxed by a scalar mu <= 2 from the last two brackets (see
-`baa_capacity`), which about halves the iterations.  An iteration costs
-two np.dot products, P w and w (t ln q), and allocates nothing.  The masked
+`baa_capacity`), which about halves the iterations; such an iteration
+costs two np.dot products, P w and w (t ln q), and allocates nothing.
+Between them the loop takes damped Newton steps in ln P on the
+optimality conditions (see `_newton_direction`), each of which builds and
+solves an r x r system, r the number of input classes, at the cost of
+about 2^(n-3) relaxed iterations; they settle class masses of 1e-19 that
+the multiplicative update moves by 1e-6 in ln P per step.  The masked
 step (ln q = 0 where q = 0, D_C = 0 where P_C = 0) redoes an iteration only
 on one of those exact zeros; from the uniform start that is a mass so small
 that an output only its class reaches underflows to q = 0, and it drops to 0.
@@ -33,7 +38,13 @@ from .patcount import split_counts
 
 # The folded matrix is about 2^n/4 x 2^(n+1)/4 float64: 17, 67 and 266 MiB
 # at n = 12, 13 and 14 (4,160 x 8,383, built in 2.5 s on one core), so about
-# 1 GiB at n = 15.  The cap stays at 14 until a larger n is measured.
+# 1 GiB at n = 15.  A Newton step adds J, r x r for r input classes, and the
+# solver's copy of it, half of w each at n = 14.  Measured on one core of a
+# 2-vCPU Xeon with one BLAS thread: `baa --n 12 --d 0.5` peaks at 78 MiB
+# (48 after the build) and takes 0.10-0.13 s per Newton step, converging in
+# 1,033 iterations and 3.6 s; at n = 14 (d = 0.5) the peak is 606 MiB (298
+# after the build) and a Newton step takes 6.0-6.6 s, against about 50 ms
+# per relaxed iteration.  The cap stays at 14 until a larger n is measured.
 BAA_MAX_N = 14
 
 _LN2 = math.log(2.0)
@@ -41,6 +52,17 @@ _LN2 = math.log(2.0)
 # Below this mass an input is treated as off-support when scoring KKT
 # optimality; multiplicative updates make exact zeros only by underflow.
 KKT_SUPPORT_EPS = 1e-12
+
+# A Newton candidate with an input mass p_C / s_C below this is refused: the
+# optimum at d >= 0.9 holds masses below it, where q of the output only that
+# class reaches nears underflow, and the relaxed update handles those runs.
+NEWTON_FLOOR = 1e-250
+
+# Step sizes a Newton candidate tries, 1 down to 2^-NEWTON_HALVINGS.
+NEWTON_HALVINGS = 5
+
+# Bytes of one scaled column block of w while J is summed (`_newton_direction`).
+NEWTON_BLOCK_BYTES = 16 << 20
 
 
 @dataclass(frozen=True)
@@ -144,17 +166,18 @@ def baa_capacity(
     within max_iter is reported through the `converged` flag, not an error,
     as is a run that lost a class mass to underflow (see `_iterate`).
     The KKT residual is of the last distribution scored, the one whose
-    information is the capacity proxy, converged or not.  The iteration
-    allocates its two vectors once, before the loop.
+    information is the capacity proxy, converged or not.
 
-    Each update is p exp(mu D) / sum, D the divergences in nats.  With g the
-    bracket max D - info in nats of this iterate and g' the one before, mu is
-    1 on the first update, when g' <= 0 or either is not finite; 2 when the
-    bracket did not shrink; else min(2, g' / (g' - g)), Aitken's 1 / (1 - r)
-    for r = g / g', which extrapolates a bracket shrinking by r per step.
-    The cap is 2 because larger steps overshoot: at 3 the (9, 0.2) history
-    falls, at 4 (9, 0.3) stops unconverged.  mu is a scalar, so every iterate
-    stays invariant under complement and reversal and the fold stays exact.
+    Each relaxed update is p exp(mu D) / sum, D the divergences in nats.
+    With g the bracket max D - info in nats of this iterate and g' the one
+    before, mu is 1 on the first update, when g' <= 0 or either is not
+    finite; 2 when the bracket did not shrink; else min(2, g' / (g' - g)),
+    Aitken's 1 / (1 - r) for r = g / g', which extrapolates a bracket
+    shrinking by r per step.  The cap is 2 because larger steps overshoot:
+    at 3 the (9, 0.2) history falls, at 4 (9, 0.3) stops unconverged.
+    Where one is due and accepted, a damped Newton step replaces the
+    relaxed update (see `_iterate`).  Both keep every iterate invariant
+    under complement and reversal, so the fold stays exact.
     """
     if not tol > 0.0:  # NaN too: it would never stop the loop
         raise ValueError("tolerance must be positive")
@@ -176,36 +199,37 @@ def baa_capacity(
 
 
 def _iterate(w: ChannelMatrix, p: np.ndarray, tol: float, max_iter: int) -> tuple:
-    """(history in bits per symbol, last p scored, converged) from a copy of p:
-    `_step` and the update p exp(mu D) / sum of `baa_capacity`, op for op,
-    in place, with one more in-place multiply by mu; an exact zero in
-    q (max D not finite) or in p sends the iteration through `_step` itself,
-    after which a class whose D_C is infinite on support, a mass so small
-    that q underflowed to 0 on an output only it reaches, drops to p_C = 0.
-    The masked max D then leaves that class out, so a run whose support
-    shrank below that of the start never reports convergence."""
-    W, h, t, scale = w.w, w.h, w.t, w.n * _LN2
+    """(history in bits per symbol, last p scored, converged) from a copy of p.
+
+    Each pass scores p (`_score`) and then moves it, by a damped Newton
+    step (`_newton`) when one is due and accepted, else by the relaxed
+    update of `baa_capacity` in place.  A Newton step costs r^2 c flops for
+    J and 2 r^3 / 3 for its solve against 4 r c for a relaxed iteration, r
+    about 2^n / 4 input and c about 2 r output classes: at most about
+    2^(n-3) relaxed iterations (measured at n = 12: 0.12 s, about 50).  So a
+    Newton step is first due after 2^(n-3) iterations, again at once
+    after an accepted step, and 2^(n-3) 2^(k-1) iterations after the k-th
+    rejection in a row: at d >= 0.9 the optimum holds masses below
+    `NEWTON_FLOOR` and every candidate is refused.  The schedule reads only
+    n and the history, so the fold and the dense channel decide alike.  A
+    step is tried only when the scores came from the unmasked path, on full
+    support with every q_O > 0.  The masked max D leaves out classes that
+    dropped to 0, so a run whose support shrank below that of the start
+    never reports convergence.  The relaxed iteration allocates nothing;
+    a Newton step allocates its system and candidates."""
+    scale = w.n * _LN2
     p = np.array(p, dtype=np.float64)
-    q, D = np.empty(W.shape[1]), np.empty(W.shape[0])
+    q, D = np.empty(w.w.shape[1]), np.empty(w.w.shape[0])
     history: list[float] = []
     last = math.nan  # the previous bracket in nats; none before the first update
     support = np.count_nonzero(p)
-    # ln 0 and 0 * ln 0 come only from an exact zero in q, and _step redoes that iteration
-    with np.errstate(divide="ignore", invalid="ignore"):
+    wait = 1 << max(w.n - 3, 0)
+    due, misses = wait, 0
+    # ln 0 and 0 * ln 0 come only from an exact zero in q, and _step redoes that
+    # iteration; a Newton candidate that overflows is scored NaN and refused
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        info, top, clean = _score(w, p, q, D)
         while True:
-            p.dot(W, out=q)
-            np.log(q, out=q)
-            np.multiply(q, t, out=q)
-            W.dot(q, out=D)
-            np.subtract(h, D, out=D)
-            top = float(np.maximum.reduce(D))
-            info = float(p.dot(D))
-            if not math.isfinite(top) or np.count_nonzero(p) < p.size:
-                D[...], info = _step(w, p)
-                while math.isinf(info):  # a p_C too small for its own outputs' q: drop it
-                    p[np.isinf(D)] = 0.0
-                    D[...], info = _step(w, p)
-                top = float(np.maximum.reduce(D))
             history.append(info / scale)
             gap = top - info
             converged = bool(gap / scale <= tol and np.count_nonzero(p) == support)
@@ -215,9 +239,94 @@ def _iterate(w: ChannelMatrix, p: np.ndarray, tol: float, max_iter: int) -> tupl
             if 0.0 < last < math.inf and math.isfinite(gap):
                 mu = 2.0 if gap >= last else min(2.0, last / (last - gap))
             last = gap
+            if clean and len(history) >= due:
+                step = _newton(w, p, D, info, gap)
+                if step is not None:
+                    p, D, info, top = step
+                    due, misses = len(history) + 1, 0
+                    continue
+                misses += 1
+                due = len(history) + (wait << (misses - 1))
             np.multiply(D, mu, out=D)
             np.multiply(p, np.exp(D, out=D), out=p)  # the residual is of the proxy's p
             np.divide(p, np.add.reduce(p), out=p)
+            info, top, clean = _score(w, p, q, D)
+
+
+def _divergences(w: ChannelMatrix, p: np.ndarray, q: np.ndarray, D: np.ndarray) -> tuple[float, float]:
+    """(information, max D) in nats, with D = h - w (t ln q), q = p w, written
+    into D op for op as `_input_divergences` on full support and q > 0; an
+    exact zero in q makes max D infinite or NaN.  Allocates nothing."""
+    p.dot(w.w, out=q)
+    np.log(q, out=q)
+    np.multiply(q, w.t, out=q)
+    w.w.dot(q, out=D)
+    np.subtract(w.h, D, out=D)
+    return float(p.dot(D)), float(np.maximum.reduce(D))
+
+
+def _score(w: ChannelMatrix, p: np.ndarray, q: np.ndarray, D: np.ndarray) -> tuple[float, float, bool]:
+    """(information, max D, clean) of p, D in place: `_divergences`, or on an
+    exact zero in q (max D not finite) or in p `_step` itself, after which a
+    class whose D_C is infinite on support, a mass so small that q underflowed
+    to 0 on an output only it reaches, drops to p_C = 0 in place; clean is
+    False when `_step` ran."""
+    info, top = _divergences(w, p, q, D)
+    if math.isfinite(top) and np.count_nonzero(p) == p.size:
+        return info, top, True
+    D[...], info = _step(w, p)
+    while math.isinf(info):  # a p_C too small for its own outputs' q: drop it
+        p[np.isinf(D)] = 0.0
+        D[...], info = _step(w, p)
+    return info, float(np.maximum.reduce(D)), False
+
+
+def _newton_direction(w: ChannelMatrix, p: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """Newton's step du in u = ln p on the KKT system D_C = lambda, sum p = 1.
+
+    dD_C / du_B = -J[C, B] with J = (w diag(t / q) w^T) diag(p), whose rows
+    sum to 1 because w t = 1, so a class of tiny mass keeps a row of size 1.
+    Linearized, J du + lambda 1 = D and p . du = 0, the bordered system; as
+    J 1 = 1 its solution is du = y - (p . y) 1 with J y = D and lambda = p . y.
+    J is summed as B B^T over column blocks B = w[:, k] sqrt(t / q)[k] of at
+    most `NEWTON_BLOCK_BYTES`, so beside J the step holds one block, one
+    block product and the solver's copy of J, never a matrix the size of w.
+    Raises `np.linalg.LinAlgError` when J is singular.
+    """
+    W = w.w
+    root = np.sqrt(w.t / p.dot(W))
+    width = max(1, NEWTON_BLOCK_BYTES // (8 * W.shape[0]))
+    J = np.zeros((W.shape[0], W.shape[0]))
+    for first in range(0, W.shape[1], width):
+        B = W[:, first : first + width] * root[first : first + width]
+        J += B @ B.T  # B @ B.T runs as one symmetric rank-k update
+    J *= p
+    y = np.linalg.solve(J, D)
+    return y - p.dot(y)
+
+
+def _newton(w: ChannelMatrix, p: np.ndarray, D: np.ndarray, info: float, gap: float):
+    """(p, D, information, max D) of the first candidate p exp(a du) / sum,
+    a = 1, 1/2, ..., 2^-NEWTON_HALVINGS, that keeps every input mass
+    p_C / s_C at or above `NEWTON_FLOOR`, whose information is finite and
+    not below `info`, and whose bracket max D - information is below `gap`;
+    None when there is none or J is singular.  The information history
+    therefore never falls on a Newton step."""
+    try:
+        du = _newton_direction(w, p, D)
+    except np.linalg.LinAlgError:
+        return None
+    floor = NEWTON_FLOOR * w.s
+    q, new_D = np.empty(w.w.shape[1]), np.empty(w.w.shape[0])
+    for k in range(NEWTON_HALVINGS + 1):
+        new = p * np.exp(0.5**k * du)
+        new /= np.add.reduce(new)
+        if (new < floor).any():
+            continue
+        new_info, top = _divergences(w, new, q, new_D)
+        if math.isfinite(top) and new_info >= info and top - new_info < gap:
+            return new, new_D, new_info, top
+    return None
 
 
 def kkt_residual(w: ChannelMatrix, p: np.ndarray) -> float:

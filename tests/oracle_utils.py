@@ -74,6 +74,7 @@ from delcap import (
     count_deletion_patterns,
     runs,
 )
+from delcap.baa import NEWTON_FLOOR, NEWTON_HALVINGS
 from delcap.bitseq import MAX_LEN
 from delcap.patcount import VECTOR_MAX_N
 
@@ -591,23 +592,80 @@ def _masked_scores(w, p: np.ndarray) -> tuple[np.ndarray, float]:
     return D, info
 
 
+def newton_direction(w, p: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """Newton's step du in ln p on the KKT system D_C = lambda, sum p = 1:
+    du = y - (p . y) 1 with J y = D, J = (w diag(t / q) w^T) diag(p) formed
+    in one product, allocating."""
+    B = w.w * np.sqrt(w.t / (p @ w.w))
+    y = np.linalg.solve(B @ B.T * p, D)
+    return y - p @ y
+
+
+def newton_candidate(w, p: np.ndarray, D: np.ndarray, info: float, gap: float, scores=None):
+    """(p, D, information) of the first `reweight(p, du, 2^-k)`, k = 0 to
+    NEWTON_HALVINGS, with every p_C / s_C at or above NEWTON_FLOOR, a finite
+    information not below `info` and a bracket below `gap`; None when there
+    is none or J is singular.  `scores` maps p to (D, information), by
+    default `masked_step`."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        try:
+            du = newton_direction(w, p, D)
+        except np.linalg.LinAlgError:
+            return None
+        for k in range(NEWTON_HALVINGS + 1):
+            new = reweight(p, du, 0.5**k)
+            if (new < NEWTON_FLOOR * w.s).any():
+                continue
+            new_D, new_info = (scores or masked_step)(w, new)
+            top = float(new_D.max())
+            if math.isfinite(top) and new_info >= info and top - new_info < gap:
+                return new, new_D, new_info
+    return None
+
+
+class NewtonSchedule:
+    """When a Newton step is due: first after 2^(n-3) iterations, at once
+    after an accepted step, and 2^(n-3) * 2^(k-1) iterations after the k-th
+    rejection in a row."""
+
+    def __init__(self, n: int):
+        self.wait = 1 << max(n - 3, 0)
+        self.due, self.misses = self.wait, 0
+
+    def record(self, iterations: int, accepted: bool) -> None:
+        if accepted:
+            self.due, self.misses = iterations + 1, 0
+        else:
+            self.misses += 1
+            self.due = iterations + (self.wait << (self.misses - 1))
+
+
 def masked_run(w, p: np.ndarray, tol: float = 1e-10, max_iter: int = 20000):
     """(history in bits per symbol, last p scored, converged) of the loop on
-    `masked_step` from a copy of p, each update `reweight` by the
-    `relaxation` of the last two brackets; a run whose support shrank below
-    that of the start is not converged."""
+    `masked_step` from a copy of p: on full support with every q_O > 0 a
+    `newton_candidate` when the `NewtonSchedule` has one due and it is
+    accepted, else `reweight` by the `relaxation` of the last two brackets;
+    a run whose support shrank below that of the start is not converged."""
     scale = w.n * math.log(2.0)
     p, history, last = np.array(p, dtype=np.float64), [], math.nan
     support = int((p > 0.0).sum())
+    schedule = NewtonSchedule(w.n)
+    D, info = _masked_scores(w, p)
     while True:
-        D, info = _masked_scores(w, p)
         history.append(info / scale)
         gap = float(D.max()) - info
         converged = gap / scale <= tol and int((p > 0.0).sum()) == support
         if converged or len(history) == max_iter:
             return history, p, converged
         mu, last = relaxation(last, gap), gap
+        if len(history) >= schedule.due and p.all() and (p @ w.w > 0.0).all():
+            step = newton_candidate(w, p, D, info, gap)
+            schedule.record(len(history), step is not None)
+            if step is not None:
+                p, D, info = step
+                continue
         p = reweight(p, D, mu)
+        D, info = _masked_scores(w, p)
 
 
 def plain_run(w, p: np.ndarray, tol: float = 1e-10, max_iter: int = 20000):
