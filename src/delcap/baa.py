@@ -40,10 +40,10 @@ from .patcount import split_counts
 # at n = 12, 13 and 14 (4,160 x 8,383, built in 2.5 s on one core), so about
 # 1 GiB at n = 15.  A Newton step adds J, r x r for r input classes, and the
 # solver's copy of it, half of w each at n = 14.  Measured on one core of a
-# 2-vCPU Xeon with one BLAS thread: `baa --n 12 --d 0.5` peaks at 78 MiB
-# (48 after the build) and takes 0.10-0.13 s per Newton step, converging in
-# 1,033 iterations and 3.6 s; at n = 14 (d = 0.5) the peak is 606 MiB (298
-# after the build) and a Newton step takes 6.0-6.6 s, against about 50 ms
+# 2-vCPU Xeon with one BLAS thread: `baa --n 12 --d 0.5` peaks at 85 MiB
+# (48 after the build) and takes 0.11-0.17 s per Newton step, converging in
+# 1,033 iterations and 4.0 s; at n = 14 (d = 0.5) the peak is 606 MiB (297
+# after the build) and a Newton step takes 6.0-7.7 s, against about 50 ms
 # per relaxed iteration.  The cap stays at 14 until a larger n is measured.
 BAA_MAX_N = 14
 
@@ -53,13 +53,24 @@ _LN2 = math.log(2.0)
 # optimality; multiplicative updates make exact zeros only by underflow.
 KKT_SUPPORT_EPS = 1e-12
 
-# A Newton candidate with an input mass p_C / s_C below this is refused: the
-# optimum at d >= 0.9 holds masses below it, where q of the output only that
-# class reaches nears underflow, and the relaxed update handles those runs.
-NEWTON_FLOOR = 1e-250
+# A Newton candidate's input masses p_C / s_C below this are raised to it.
+# Where the optimum wants a class below the double range, as at (9, 0.7),
+# which asks e^-300 times 1e-247, Newton's step in ln p leaves it here and
+# settles the rest; such a class has D_C below the information, so it does
+# not hold the bracket open.  1e-200 lies under every mass a converged run has
+# ended on (1.7e-155 at (8, 0.7)) and leaves the relaxed updates between
+# Newton steps 1e108 of headroom above the subnormals.
+NEWTON_FLOOR = 1e-200
 
 # Step sizes a Newton candidate tries, 1 down to 2^-NEWTON_HALVINGS.
 NEWTON_HALVINGS = 5
+
+# A Newton candidate whose information falls below the current one by less
+# than this, bits per symbol, counts as not falling.  Next to the optimum the
+# true difference is far below rounding, and the computed one is noise of a
+# few 1e-16 that the summation order (fold or dense, BLAS kernel) decides;
+# compared with 0, it would make the iteration count depend on that order.
+NEWTON_SLACK = 1e-14
 
 # Bytes of one scaled column block of w while J is summed (`_newton_direction`).
 NEWTON_BLOCK_BYTES = 16 << 20
@@ -209,8 +220,8 @@ def _iterate(w: ChannelMatrix, p: np.ndarray, tol: float, max_iter: int) -> tupl
     2^(n-3) relaxed iterations (measured at n = 12: 0.12 s, about 50).  So a
     Newton step is first due after 2^(n-3) iterations, again at once
     after an accepted step, and 2^(n-3) 2^(k-1) iterations after the k-th
-    rejection in a row: at d >= 0.9 the optimum holds masses below
-    `NEWTON_FLOOR` and every candidate is refused.  The schedule reads only
+    rejection in a row: at d >= 0.9 the candidates mostly overflow or
+    lower the information and are refused.  The schedule reads only
     n and the history, so the fold and the dense channel decide alike.  A
     step is tried only when the scores came from the unmasked path, on full
     support with every q_O > 0.  The masked max D leaves out classes that
@@ -240,7 +251,7 @@ def _iterate(w: ChannelMatrix, p: np.ndarray, tol: float, max_iter: int) -> tupl
                 mu = 2.0 if gap >= last else min(2.0, last / (last - gap))
             last = gap
             if clean and len(history) >= due:
-                step = _newton(w, p, D, info, gap)
+                step = _newton(w, p, D, q, info, gap)
                 if step is not None:
                     p, D, info, top = step
                     due, misses = len(history) + 1, 0
@@ -305,26 +316,27 @@ def _newton_direction(w: ChannelMatrix, p: np.ndarray, D: np.ndarray) -> np.ndar
     return y - p.dot(y)
 
 
-def _newton(w: ChannelMatrix, p: np.ndarray, D: np.ndarray, info: float, gap: float):
+def _newton(w: ChannelMatrix, p: np.ndarray, D: np.ndarray, q: np.ndarray, info: float, gap: float):
     """(p, D, information, max D) of the first candidate p exp(a du) / sum,
-    a = 1, 1/2, ..., 2^-NEWTON_HALVINGS, that keeps every input mass
-    p_C / s_C at or above `NEWTON_FLOOR`, whose information is finite and
-    not below `info`, and whose bracket max D - information is below `gap`;
-    None when there is none or J is singular.  The information history
-    therefore never falls on a Newton step."""
+    a = 1, 1/2, ..., 2^-NEWTON_HALVINGS, each input mass p_C / s_C raised
+    to at least `NEWTON_FLOOR`, whose information is finite and
+    not below `info` by more than `NEWTON_SLACK`, and whose bracket
+    max D - information is below `gap`; None when there is none or J is
+    singular.  The information history therefore falls by at most
+    `NEWTON_SLACK` on a Newton step.  q is scratch, overwritten."""
     try:
         du = _newton_direction(w, p, D)
     except np.linalg.LinAlgError:
         return None
     floor = NEWTON_FLOOR * w.s
-    q, new_D = np.empty(w.w.shape[1]), np.empty(w.w.shape[0])
+    least = info - NEWTON_SLACK * w.n * _LN2
+    new_D = np.empty(w.w.shape[0])
     for k in range(NEWTON_HALVINGS + 1):
         new = p * np.exp(0.5**k * du)
         new /= np.add.reduce(new)
-        if (new < floor).any():
-            continue
+        np.maximum(new, floor, out=new)  # adds at most 2^n 1e-200 to the sum of 1
         new_info, top = _divergences(w, new, q, new_D)
-        if math.isfinite(top) and new_info >= info and top - new_info < gap:
+        if math.isfinite(top) and new_info >= least and top - new_info < gap:
             return new, new_D, new_info, top
     return None
 

@@ -74,7 +74,7 @@ from delcap import (
     count_deletion_patterns,
     runs,
 )
-from delcap.baa import NEWTON_FLOOR, NEWTON_HALVINGS
+from delcap.baa import NEWTON_FLOOR, NEWTON_HALVINGS, NEWTON_SLACK
 from delcap.bitseq import MAX_LEN
 from delcap.patcount import VECTOR_MAX_N
 
@@ -603,8 +603,9 @@ def newton_direction(w, p: np.ndarray, D: np.ndarray) -> np.ndarray:
 
 def newton_candidate(w, p: np.ndarray, D: np.ndarray, info: float, gap: float, scores=None):
     """(p, D, information) of the first `reweight(p, du, 2^-k)`, k = 0 to
-    NEWTON_HALVINGS, with every p_C / s_C at or above NEWTON_FLOOR, a finite
-    information not below `info` and a bracket below `gap`; None when there
+    NEWTON_HALVINGS, every p_C / s_C raised to at least NEWTON_FLOOR, with a finite
+    information not below `info` by more than NEWTON_SLACK bits per symbol
+    and a bracket below `gap`; None when there
     is none or J is singular.  `scores` maps p to (D, information), by
     default `masked_step`."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -614,11 +615,11 @@ def newton_candidate(w, p: np.ndarray, D: np.ndarray, info: float, gap: float, s
             return None
         for k in range(NEWTON_HALVINGS + 1):
             new = reweight(p, du, 0.5**k)
-            if (new < NEWTON_FLOOR * w.s).any():
-                continue
+            new = np.maximum(new, NEWTON_FLOOR * w.s)
             new_D, new_info = (scores or masked_step)(w, new)
             top = float(new_D.max())
-            if math.isfinite(top) and new_info >= info and top - new_info < gap:
+            least = info - NEWTON_SLACK * w.n * math.log(2.0)
+            if math.isfinite(top) and new_info >= least and top - new_info < gap:
                 return new, new_D, new_info
     return None
 
