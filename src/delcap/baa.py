@@ -277,14 +277,15 @@ def _divergences(w: ChannelMatrix, p: np.ndarray, q: np.ndarray, D: np.ndarray) 
 
 
 def _score(w: ChannelMatrix, p: np.ndarray, q: np.ndarray, D: np.ndarray) -> tuple[float, float, bool]:
-    """(information, max D, clean) of p, D in place: `_divergences`, or on an
-    exact zero in q (max D not finite) or in p `_step` itself, after which a
-    class whose D_C is infinite on support, a mass so small that q underflowed
-    to 0 on an output only it reaches, drops to p_C = 0 in place; clean is
-    False when `_step` ran."""
-    info, top = _divergences(w, p, q, D)
-    if math.isfinite(top) and np.count_nonzero(p) == p.size:
-        return info, top, True
+    """(information, max D, clean) of p, D in place: on full support
+    `_divergences`, and on an exact zero in q (max D not finite) or in p
+    `_step` alone, after which a class whose D_C is infinite on support, a
+    mass so small that q underflowed to 0 on an output only it reaches,
+    drops to p_C = 0 in place; clean is False when `_step` ran."""
+    if np.count_nonzero(p) == p.size:
+        info, top = _divergences(w, p, q, D)
+        if math.isfinite(top):
+            return info, top, True
     D[...], info = _step(w, p)
     while math.isinf(info):  # a p_C too small for its own outputs' q: drop it
         p[np.isinf(D)] = 0.0

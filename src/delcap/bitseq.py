@@ -20,6 +20,13 @@ class CapExceededError(ValueError):
     """A hard size cap was exceeded (sequence length, search width, matrix size)."""
 
 
+def numeral_text(value: int, length: int) -> str:
+    """Numeral `value` as the text of its `length` symbols, "" for length 0."""
+    if value < 0 or value >> length:
+        raise ValueError(f"numeral {value} does not fit in {length} bits")
+    return format(value, f"0{length}b") if length else ""
+
+
 @dataclass(frozen=True)
 class BinarySequence:
     """Fixed-length bit sequence packed into one machine word.
@@ -55,7 +62,7 @@ class BinarySequence:
         return (self.bits >> (self.length - 1 - i)) & 1
 
     def to_string(self) -> str:
-        return format(self.bits, f"0{self.length}b") if self.length else ""
+        return numeral_text(self.bits, self.length)
 
     def __str__(self) -> str:
         return self.to_string()

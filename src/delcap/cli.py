@@ -18,7 +18,7 @@ import sys
 import warnings
 
 from .baa import baa_capacity
-from .bitseq import BinarySequence, CapExceededError
+from .bitseq import BinarySequence, CapExceededError, numeral_text
 from .bounds import (
     DegenerateOutputError,
     bdc_dup_bound_n,
@@ -102,19 +102,20 @@ def cmd_mdm_table(args) -> int:
         threads=args.threads,
         checkpoint_path=args.checkpoint,
     )
+    columns = zip(table.x_star, table.max_count, table.x_dup, table.dup_count)
     _write_csv(
         args.output,
         ["y", "x_star", "max_count", "x_dup", "dup_count", "ratio"],
         (
             [
-                row.y.to_string(),
-                row.x_star.to_string(),
-                str(row.max_count),
-                "" if row.x_dup is None else row.x_dup.to_string(),
-                f"{row.dup_count:.6f}" if isinstance(row.dup_count, float) else str(row.dup_count),
-                f"{row.ratio:.5f}",
+                numeral_text(v, table.m),
+                numeral_text(x, table.n),
+                str(top),
+                "" if x_dup is None else numeral_text(x_dup, table.n),
+                f"{dup:.6f}" if isinstance(dup, float) else str(dup),
+                f"{dup / top:.5f}",
             ]
-            for row in table.rows
+            for v, (x, top, x_dup, dup) in enumerate(columns)
         ),
     )
     return 0

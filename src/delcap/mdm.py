@@ -9,13 +9,14 @@ its orbit's smallest numeral, the class rep, and only reps are solved.
 Below PRUNE_MIN_N a class's counts are the dense product of its split
 tables; from it on only the rows and columns of that product that can hold
 the maximum are multiplied out (`patcount.pruned_blocks`), which keeps
-every maximizer and so every smallest-numeral tie-break.
-Outputs, reps and maximizers stay numerals throughout; they become text
-only in checkpoint lines.
+every maximizer and so every smallest-numeral tie-break, settled once per
+chunk of classes.  Outputs, reps, maximizers and candidates stay numerals
+in `MdmTable`'s columns; only the checkpoint and CSV writers make text.
 The duplication estimate replaces the true maximizer with a candidate
-that stretches every run of y: `dup_estimate` builds it as a numeral and
-takes its count as a product of one weight per run, exact because each run
-of y can only embed in its own stretched run.  Its ratio to the true
+that stretches every run of y: `_dup_rows` builds it as a numeral for all
+y of one length at once and takes its count as a product of one weight
+per run, exact because each run of y can only embed in its own stretched
+run; `dup_estimate` is its row for one y.  Its ratio to the true
 maximum is at most 1 because the candidate is feasible.  When len(y) does
 not divide n the stretch is fractional and three estimates are offered:
 hand the leftover bits to the trailing runs, hand them to the longest
@@ -42,7 +43,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .bitseq import MAX_LEN, BinarySequence, CapExceededError, runs
+from .bitseq import MAX_LEN, BinarySequence, CapExceededError, numeral_text, runs
 from .patcount import VECTOR_MAX_N, count_deletion_patterns, pruned_blocks, split_batch
 from .patcount import split_counts, split_tables
 from .patcount import counts_for_all_inputs  # noqa: F401  (the benchmark tracer wraps this name)
@@ -85,23 +86,39 @@ class MdmResult:
 
 @dataclass(frozen=True)
 class MdmTable:
-    """All outputs of one (n, m) sweep, in ascending numeral order of y."""
+    """All outputs of one (n, m) sweep as the columns x_star, max_count,
+    x_dup and dup_count of `MdmResult`, indexed by y's numeral, with
+    numerals in place of sequences."""
 
     n: int
     m: int
-    rows: list
+    x_star: list
+    max_count: list
+    x_dup: list
+    dup_count: list
+
+    @property
+    def rows(self) -> list:
+        """One `MdmResult` per y, in ascending numeral order of y."""
+        n, columns = self.n, zip(self.x_star, self.max_count, self.x_dup, self.dup_count)
+        return [
+            MdmResult(BinarySequence(v, self.m), n, BinarySequence(x, n), top,
+                      x_dup if x_dup is None else BinarySequence(x_dup, n), dup, dup / top)
+            for v, (x, top, x_dup, dup) in enumerate(columns)
+        ]
 
 
 def _run_weights(n: int, m: int, approach: DupApproach) -> tuple:
     """w[l][e]: the ways an l-run of y embeds in its stretched run, 0 <= l <= m.
 
     The stretched run has l*base + e bits, base = n // m and e of the
-    leftover bits, 0 <= e <= min(l, n % m), so w[l][e] = C(l*base + e, l).
+    leftover bits, 0 <= e <= min(l, n % m), so w[l][e] = C(l*base + e, l);
+    each row holds e <= n % m, with 0 past e = l, so the rows stack.
     Candidate and y have equally many runs, so the i-th run of y can only
     land in the i-th stretched run and a candidate's count is the product of
     w over the runs of y.  The Gamma estimate of a fractional F = n / m
     generalizes C(l*F, l) to Gamma(l*F+1) / (Gamma(l+1) Gamma(l*F-l+1)) and
-    ignores e: its rows hold the one column e = 0.  `dup_estimate` and both
+    ignores e: its rows hold the one column e = 0.  `_dup_rows` and both
     `dup_sum` recurrences read this one table, cached once per (n, m) for
     the integer weights every approach shares and once for Gamma's.
     """
@@ -118,54 +135,66 @@ def _weight_table(n: int, m: int, gamma: bool) -> tuple:
             for l in range(m + 1)
         )
     return tuple(
-        tuple(math.comb(l * base + e, l) for e in range(min(l, extra) + 1)) for l in range(m + 1)
+        tuple(math.comb(l * base + e, l) if e <= l else 0 for e in range(extra + 1))
+        for l in range(m + 1)
     )
 
 
 def dup_estimate(
     y: BinarySequence, n: int, approach: DupApproach = DupApproach.ASSIGN_TO_LAST
 ) -> tuple[Optional[BinarySequence], Union[int, float]]:
-    """The duplication candidate x_dup of y at input length n, and its count.
-
-    Every l-run of y becomes a run of l * (n // len(y)) bits, and the
-    n % len(y) leftover bits go to whole runs, at most l to an l-run (so
-    each run absorbs at most one extra copy per original bit).
-    ASSIGN_TO_LAST walks the runs from the last one backwards;
-    ASSIGN_BY_LENGTH walks them longest first, ties broken by earlier
-    position.  The count is exactly #(x_dup, y), the product of the run
-    weights.  GAMMA with a fractional factor builds no candidate: x_dup is
-    None and the count is the real-valued product of the Gamma weights.
-    With an integer factor every approach repeats each bit n / len(y) times.
-    """
+    """The duplication candidate x_dup of y at input length n and its count,
+    y's row of `_dup_rows`; x_dup is None for the Gamma estimate of a
+    fractional factor."""
     m = len(y)
     if m > n:
         raise ValueError(f"output longer than input ({m} > {n})")
     if n > MAX_LEN:
         raise CapExceededError(f"input length {n} exceeds {MAX_LEN}")
+    [x], [count] = _dup_rows(n, m, approach, [y.bits])
+    return (None if x is None else BinarySequence(x, n)), count
+
+
+def _dup_rows(n: int, m: int, approach: DupApproach, ys=None) -> tuple[list, list]:
+    """x_dup numerals and counts of the length-m numerals in ys (default
+    all, in order); x_dup is None for the Gamma estimate of a fractional factor.
+
+    Every l-run of y becomes l * (n // m) bits, and of the n % m leftover
+    bits it takes min(l, max(0, extra - b)), b the bits of the runs served
+    before it: from the last run back (ASSIGN_TO_LAST) or longest first,
+    earlier first on ties (ASSIGN_BY_LENGTH).  The count is #(x_dup, y), the
+    product of the run weights in run order.  Run i is row i of an m x len(ys)
+    array; the edges y ^ (y >> 1) start runs, runs past the last have length 0.
+    """
     if m == 0:
         # only the all-deleting pattern; the candidate slot still needs length n
-        return BinarySequence(0, n), 1
+        return [0], [1]
     base, extra = divmod(n, m)
-    w = _run_weights(n, m, approach)
-    run_list = runs(y)
-    if extra and approach is DupApproach.GAMMA:
-        return None, math.prod(w[l][0] for _, l in run_list)
-    if approach is DupApproach.ASSIGN_TO_LAST:
-        order = range(len(run_list) - 1, -1, -1)
+    gamma = bool(extra) and approach is DupApproach.GAMMA
+    y = np.arange(1 << m) if ys is None else np.asarray(ys, dtype=np.int64)
+    # bit k of y ^ y >> 1 is set where symbols m-2-k and m-1-k differ; its
+    # top bit is y's first symbol, which `run -= run[0]` takes out again
+    run = np.cumsum((y ^ y >> 1) >> np.arange(m - 1, -1, -1)[:, None] & 1, axis=0)
+    run -= run[0]
+    at = run * len(y) + np.arange(len(y))
+    L = np.bincount(at.ravel(), minlength=run.size).reshape(run.shape)
+    if approach is DupApproach.ASSIGN_BY_LENGTH:
+        order = np.argsort(-L, axis=0, kind="stable")
+        ls = np.take_along_axis(L, order, axis=0)
+        before = np.empty_like(L)
+        np.put_along_axis(before, order, np.cumsum(ls, axis=0) - ls, axis=0)
     else:
-        order = sorted(range(len(run_list)), key=lambda j: (-run_list[j][1], j))
-    bonus = [0] * len(run_list)
-    left = extra
-    for j in order:
-        bonus[j] = min(left, run_list[j][1])
-        left -= bonus[j]
-    # extra < m = sum of run lengths, so the leftover always fits
-    x, count = 0, 1
-    for (v, l), e in zip(run_list, bonus):
-        stretch = l * base + e
-        x = (x << stretch) | ((1 << stretch) - 1 if v else 0)
-        count *= w[l][e]
-    return BinarySequence(x, n), count
+        before = m - np.cumsum(L, axis=0)
+    E = np.zeros_like(L) if gamma else np.clip(extra - before, 0, L)
+    # row by row, so the Gamma floats multiply in run order
+    counts = math.prod(np.array(_run_weights(n, m, approach))[L, E]).tolist()
+    if gamma:
+        return [None] * len(counts), counts
+    # each stretched run's bits end at `low`; the run values alternate from y's first
+    S = (L * base + E).astype(np.uint64)
+    low = np.uint64(n) - np.cumsum(S, axis=0)
+    ones = (y >> (m - 1) ^ np.arange(m)[:, None] & 1).astype(np.uint64)
+    return (ones * ((np.uint64(1) << S) - 1 << low)).sum(axis=0).tolist(), counts
 
 
 def dup_sum(n: int, m: int, approach: DupApproach) -> Union[int, float]:
@@ -360,7 +389,9 @@ def _class_blocks(reps: list, m: int, n: int):
     for first, pre, suf in split_tables(reps, m, n):
         for c, tables in enumerate(zip(pre, suf), first):
             for us, vs, block in pruned_blocks(*tables):
-                yield c, block.ravel(), lambda at, us=us, vs=vs: (us[:, None] << b | vs).ravel()[at]
+                yield c, block.ravel(), (
+                    lambda at, us=us, vs=vs: us[at // len(vs)] << b | vs[at % len(vs)]
+                )
 
 
 def _solve_class(reps: list, m: int, n: int, ties: bool = False) -> list[tuple[int, int, dict]]:
@@ -373,25 +404,29 @@ def _solve_class(reps: list, m: int, n: int, ties: bool = False) -> list[tuple[i
     Complement and reversal g keep #(g x, g y) = #(x, y), so the maximizer
     set of member g y is g applied to the rep's: `_orbit` of the rep's
     argmax numerals lists those sets in the order `_orbit` of the rep lists
-    the members, and each block keeps the running minimum of each set.
+    the members.  Blocks keep the numerals at the running top, and one
+    `_orbit` of all of them settles every tie-break of the chunk.
     Without ties stars is empty.
     """
     best = [-1] * len(reps)
-    picks: list = [None] * len(reps)
+    picks: list = [[] for _ in reps]
     for c, counts, numerals in _class_blocks(reps, m, n):
         top = int(counts.max())
         if top < best[c]:
             continue
         if ties:
-            found = [int(s.min()) for s in _orbit(numerals(np.flatnonzero(counts == top)), n)]
-            picks[c] = list(map(min, picks[c], found)) if top == best[c] else found
+            found = numerals(np.flatnonzero(counts == top))
+            picks[c] = (picks[c] if top == best[c] else []) + [found]
         best[c] = top
-    if not ties:
+    if not ties or not reps:
         return [(rep, top, {}) for rep, top in zip(reps, best)]
-    members = np.stack(_orbit(reps, m), axis=1).tolist()
+    starts = [0, *itertools.accumulate(sum(map(len, pick)) for pick in picks[:-1])]
+    xs = np.concatenate([found for pick in picks for found in pick])
+    stars = zip(*[np.minimum.reduceat(s, starts).tolist() for s in _orbit(xs, n)])
+    members = zip(*[s.tolist() for s in _orbit(reps, m)])
     return [
-        (rep, top, dict(zip(orbit, pick)))
-        for rep, top, orbit, pick in zip(reps, best, members, picks)
+        (rep, top, dict(zip(orbit, star)))
+        for rep, top, orbit, star in zip(reps, best, members, stars)
     ]
 
 
@@ -402,9 +437,9 @@ _class_max = _solve_class
 def _format_checkpoint_line(rep: int, max_count: int, stars: dict, m: int, n: int) -> str:
     """`rep count member:x_star ...`, members in numeral order, as text."""
     members = " ".join(
-        f"{BinarySequence(y, m)}:{BinarySequence(x, n)}" for y, x in sorted(stars.items())
+        f"{numeral_text(y, m)}:{numeral_text(x, n)}" for y, x in sorted(stars.items())
     )
-    return f"{BinarySequence(rep, m)} {max_count} {members}"
+    return f"{numeral_text(rep, m)} {max_count} {members}"
 
 
 def _parse_checkpoint(path: str, n: int, m: int) -> dict:
@@ -481,45 +516,33 @@ def mdm_table(
     """Solve every y in {0,1}^m against inputs of length n.
 
     One search per symmetry class (complement and reversal leave pattern
-    counts unchanged), read back per y so the table still carries one row
-    per y, in numeral order.  A checkpoint file, when given, records one
-    completed class per line and lets an interrupted sweep resume without
-    changing the final table.
+    counts unchanged), read back per y into numeral columns, one entry per
+    y in numeral order, beside one `_dup_rows` pass.  A checkpoint file,
+    when given, records one completed class per line and lets an
+    interrupted sweep resume without changing the final table.
     """
     _check_search(n, m, threads)
     canon, reps = _classes(m)
 
-    solved: dict[int, tuple[int, dict]] = {}
-    if checkpoint_path:
-        solved = _parse_checkpoint(checkpoint_path, n, m)
+    solved = _parse_checkpoint(checkpoint_path, n, m) if checkpoint_path else {}
     todo = [rep for rep in reps if rep not in solved]
-    results = _map_classes(todo, m, n, threads, ties=True)
 
     checkpoint = _open_checkpoint(checkpoint_path) if checkpoint_path else contextlib.nullcontext()
     with checkpoint as checkpoint_fh:
-        for rep, max_count, stars in results:
+        for rep, max_count, stars in _map_classes(todo, m, n, threads, ties=True):
             solved[rep] = (max_count, stars)
             if checkpoint_fh:
                 checkpoint_fh.write(_format_checkpoint_line(rep, max_count, stars, m, n) + "\n")
                 checkpoint_fh.flush()
 
-    rows = []
-    for v, rep in enumerate(canon.tolist()):
-        max_count, stars = solved[rep]
-        y = BinarySequence(v, m)
-        x_dup, dup_count = dup_estimate(y, n, approach)
-        rows.append(
-            MdmResult(
-                y=y,
-                n=n,
-                x_star=BinarySequence(stars[v], n),
-                max_count=max_count,
-                x_dup=x_dup,
-                dup_count=dup_count,
-                ratio=dup_count / max_count,
-            )
-        )
-    return MdmTable(n=n, m=m, rows=rows)
+    classes = [solved[rep] for rep in canon.tolist()]
+    return MdmTable(
+        n,
+        m,
+        [stars[v] for v, (_, stars) in enumerate(classes)],
+        [top for top, _ in classes],
+        *_dup_rows(n, m, approach),
+    )
 
 
 def sum_max_counts(n: int, m: int, threads: int = 1) -> int:

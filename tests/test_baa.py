@@ -406,6 +406,32 @@ def test_underflowed_mass_leaves_the_support():
     assert converged is False
 
 
+def test_scoring_after_a_dropped_mass_skips_the_unmasked_pass(monkeypatch):
+    # (8, 0.8) drops its first masses to 0 after 6,614 iterations; over a p
+    # with an exact zero the unmasked pass only yields NaN, so `_score` runs
+    # `_step` alone from there (84 wasted passes in these 6,700 iterations
+    # before it did), and the history is still the masked oracle's
+    calls = {"_divergences": [], "_step": []}
+
+    def counting(name):
+        fn = getattr(baa, name)
+
+        def counted(w, p, *rest):
+            calls[name].append(np.count_nonzero(p) < p.size)
+            return fn(w, p, *rest)
+
+        monkeypatch.setattr(baa, name, counted)
+
+    counting("_divergences")
+    counting("_step")
+    report = baa_capacity(8, 0.8, max_iter=6700)
+    assert calls["_divergences"].count(True) == 0
+    assert calls["_step"].count(True) == 85
+    assert len(calls["_divergences"]) >= 6700 - 85
+    w = build_channel_matrix(8, 0.8)
+    assert report.history == masked_run(w, w.s / 2**8, max_iter=6700)[0]
+
+
 def _dominated_channel(outputs=4):
     """Four noiseless inputs and a fifth whose output is uniform over theirs;
     outputs past the fourth are reached by no input.

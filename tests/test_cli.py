@@ -90,6 +90,44 @@ def test_table_gamma_rows_have_empty_x_dup(tmp_path):
         assert row == "0110,001111100,40" + tail, approach
 
 
+# bytes the sequence-object writers wrote: the m = 0 table, whose y field
+# and checkpoint rep are empty, and a Gamma table with an empty x_dup column
+# resumed from the first line of the checkpoint they wrote
+WRITTEN_5_0 = (
+    "y,x_star,max_count,x_dup,dup_count,ratio\n,00000,1,00000,1,1.00000\n",
+    " 1 :00000\n",
+)
+WRITTEN_7_3_GAMMA = (
+    "y,x_star,max_count,x_dup,dup_count,ratio\n"
+    "000,0000000,35,,35.000000,1.00000\n"
+    "001,0000011,20,,19.962963,0.99815\n"
+    "010,0001100,12,,12.703704,1.05864\n"
+    "011,0011111,20,,19.962963,0.99815\n"
+    "100,1100000,20,,19.962963,0.99815\n"
+    "101,1100011,12,,12.703704,1.05864\n"
+    "110,1111100,20,,19.962963,0.99815\n"
+    "111,1111111,35,,35.000000,1.00000\n",
+    "000 35 000:0000000 111:1111111\n"
+    "001 20 001:0000011 011:0011111 100:1100000 110:1111100\n"
+    "010 12 010:0001100 101:1100011\n",
+)
+
+
+@pytest.mark.parametrize("approach", [a.value for a in DupApproach])
+def test_table_writers_keep_the_bytes_of_the_sequence_writers(tmp_path, approach):
+    out, ckpt = tmp_path / "t.csv", tmp_path / "t.ckpt"
+    argv = ["mdm-table", "--n", "5", "--m", "0", "--approach", approach]
+    assert run(argv + ["--checkpoint", str(ckpt), "--output", str(out)]) == 0
+    assert (out.read_text(), ckpt.read_text()) == WRITTEN_5_0
+    if approach != "gamma":
+        return
+    csv_text, ckpt_text = WRITTEN_7_3_GAMMA
+    ckpt.write_text(ckpt_text.splitlines(keepends=True)[0])
+    argv = ["mdm-table", "--n", "7", "--m", "3", "--approach", "gamma", "--checkpoint", str(ckpt)]
+    assert run(argv + ["--output", str(out)]) == 0
+    assert (out.read_text(), ckpt.read_text()) == WRITTEN_7_3_GAMMA
+
+
 def test_table_checkpoint_resume_identical_csv(tmp_path):
     ckpt = tmp_path / "p.ckpt"
     out1 = tmp_path / "a.csv"

@@ -32,10 +32,12 @@ from delcap import mdm, patcount
 from delcap.bitseq import MAX_LEN
 from delcap.mdm import _classes, _format_checkpoint_line, _orbit, _parse_checkpoint, _solve_class
 from oracle_utils import (
+    approximate_dup_sequence,
     flip_text,
     lambda_dup_sum,
     lambda_dup_sum_assign_to_last,
     lambda_run_weight,
+    oracle_counts_pairs_split,
     prefix_walk_counts,
     text_canonical_form,
     text_dup_estimate,
@@ -101,6 +103,36 @@ def test_x_star_is_smallest_numeral_argmax():
             assert x_star == int(counts.argmax())
 
 
+@pytest.mark.parametrize("n", [16, 17, 18])
+def test_tie_breaks_settled_across_kept_row_blocks(monkeypatch, n):
+    # classes whose equal tops fall in more than one kept-row block: at the
+    # default budget only m = 0, where every input is a maximizer; with
+    # blocks of a few rows, classes of m = 3, 5 and 8 too.  The smallest
+    # maximizer of every member, taken once per chunk, is the walk's argmax
+    tops = []
+
+    def recording(pre, suf):
+        tops.append([])
+        for us, vs, block in patcount.pruned_blocks(pre, suf):
+            tops[-1].append(int(block.max()))
+            yield us, vs, block
+
+    monkeypatch.setattr(mdm, "pruned_blocks", recording)
+    split = []
+    for budget, lengths in ((patcount.SPLIT_BYTES, [0]), (32 << 8, [3, 5, 8])):
+        monkeypatch.setattr(patcount, "SPLIT_BYTES", budget)
+        for m in lengths:
+            tops.clear()
+            solved = _solve_class(_classes(m)[1], m, n, ties=True)
+            tied = [(m, top, stars) for (_, top, stars), t in zip(solved, tops) if t.count(top) > 1]
+            split += tied
+    assert len({m for m, _, _ in split}) >= 2, n
+    for m, top, stars in split:
+        for member, x_star in stars.items():
+            counts = prefix_walk_counts(BinarySequence(member, m), n)
+            assert counts.max() == top and x_star == int(counts.argmax()), (n, m, member)
+
+
 def test_dup_count_formula_and_sequence():
     y = _seq("0101010")
     x, count = dup_estimate(y, 14)
@@ -163,18 +195,51 @@ def test_approximate_sequences_preserve_output():
 
 
 def test_dup_estimate_matches_text_built_recount():
-    # the parent's candidate, built as text and recounted with the scalar DP
-    for m in range(11):
-        for y in all_sequences(m):
-            for n in range(m, 17):
-                for approach in DupApproach:
-                    x, count = dup_estimate(y, n, approach)
-                    want_x, want_count = text_dup_estimate(y, n, approach)
-                    assert x == want_x, (y, n, approach)
+    # the numeral rows of every y against the candidate built as text;
+    # every (n, m) with n <= 16, m = 0 and m = n included.  The text route
+    # ignores the approach for an integer factor, so it runs once there, and
+    # for a fractional one its assign-* counts come from subset enumeration
+    # of all pairs at once, not one scalar DP per y
+    for n in range(1, 17):
+        for m in range(n + 1):
+            ys = list(all_sequences(m))
+            fractional = m and n % m
+            rows = {a: mdm._dup_rows(n, m, a) for a in DupApproach}
+            for approach, (xs, counts) in rows.items():
+                if fractional and approach is not DupApproach.GAMMA:
+                    texts = [approximate_dup_sequence(y, n, approach) for y in ys]
+                    pairs = [(x.bits, m, y.bits) for x, y in zip(texts, ys)]
+                    assert xs == [x.bits for x in texts], (n, m, approach)
+                    assert counts == oracle_counts_pairs_split(n, pairs), (n, m, approach)
+                    continue
+                if fractional or approach is DupApproach.ASSIGN_TO_LAST:
+                    want = [text_dup_estimate(y, n, approach) for y in ys]
+                for y, x, count, (want_x, want_count) in zip(ys, xs, counts, want):
+                    assert (None if want_x is None else want_x.bits) == x, (y, n, approach)
                     if x is None:
-                        assert count == pytest.approx(want_count, rel=1e-12, abs=0)
+                        assert math.isclose(count, want_count, rel_tol=1e-12), (y, n)
                     else:
-                        assert count == count_deletion_patterns(x, y), (y, n, approach)
+                        assert type(count) is int and count == want_count, (y, n, approach)
+            # the one-y wrapper reads the same rows
+            for y in ys[:: max(1, len(ys) // 7)]:
+                for approach, (xs, counts) in rows.items():
+                    x, count = dup_estimate(y, n, approach)
+                    assert (None if x is None else x.bits, count) == (xs[y.bits], counts[y.bits])
+
+
+def test_dup_rows_match_text_built_recount_up_to_the_length_cap():
+    # numerals up to 63 bits and counts up to C(63, 31) in the fixed-width
+    # arrays: sampled y against the text route and its scalar DP recount
+    rng = random.Random(37)
+    for n, m in [(47, 13), (62, 31), (63, 1), (63, 5), (63, 31), (63, 32), (63, 40), (63, 63)]:
+        ys = [0, (1 << m) - 1, ((1 << m) - 1) // 3] + [rng.getrandbits(m) for _ in range(12)]
+        for approach in DupApproach:
+            xs, counts = mdm._dup_rows(n, m, approach, ys)
+            for v, x, count in zip(ys, xs, counts):
+                want_x, want_count = text_dup_estimate(BinarySequence(v, m), n, approach)
+                assert (None if want_x is None else want_x.bits) == x, (n, m, v, approach)
+                assert math.isclose(count, want_count, rel_tol=1e-12), (n, m, v, approach)
+                assert x is None or type(count) is int and count == want_count
 
 
 def test_dup_sum_matches_lambda_weight_oracle():
@@ -211,7 +276,7 @@ def test_dup_sum_is_exact_sum_of_estimates():
     for n in range(1, 15):
         for m in range(1, n + 1):
             for approach in (DupApproach.ASSIGN_TO_LAST, DupApproach.ASSIGN_BY_LENGTH):
-                counts = [dup_estimate(y, n, approach)[1] for y in all_sequences(m)]
+                counts = mdm._dup_rows(n, m, approach)[1]
                 assert all(type(c) is int for c in counts)
                 got = dup_sum(n, m, approach)
                 assert type(got) is int and got == sum(counts), (n, m, approach)
