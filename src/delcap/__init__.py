@@ -2,9 +2,10 @@
 
 The package has one module per concern: exact bit-sequence handling
 (``bitseq``), deletion-pattern counting (``patcount``), exhaustive search
-for the most deletion-compatible inputs (``mdm``), closed-form and numeric
-channel bounds (``bounds``), and an alternating-maximization baseline
-(``baa``).  ``cli`` wires them into the ``delcap`` command.
+for the most deletion-compatible inputs (``mdm``), duplication sums
+(``dupsum``), closed-form and numeric channel bounds (``bounds``), and an
+alternating-maximization baseline (``baa``).  ``cli`` wires them into the
+``delcap`` command.
 """
 
 from .baa import (
@@ -35,13 +36,12 @@ from .bounds import (
     reference_golden_bound,
     typical_output_length,
 )
+from .dupsum import DupApproach, dup_sum
 from .mdm import (
-    DupApproach,
     MdmResult,
     MdmTable,
     canonical_form,
     dup_estimate,
-    dup_sum,
     duplication_ratio,
     flip_sequence,
     is_alternating,

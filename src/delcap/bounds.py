@@ -4,8 +4,8 @@ Closed forms for the erasure and flip channels, the finite-n
 maximum-likelihood bound for the deletion channel, the explicit
 closed-form approximation built from run-length statistics, and the
 golden-ratio reference curve.  The deletion bound takes the log of a sum
-over all outputs that `mdm` computes: of the exact maxima
-(`mdm.sum_max_counts`) or of the duplication estimates (`mdm.dup_sum`).
+over all outputs: of the exact maxima (`mdm.sum_max_counts`) or of the
+duplication estimates (`dupsum.dup_sum`).
 The two integer duplication estimates count feasible inputs, so their
 bounds sit at or below the ML bound at the same (n, d); the Gamma estimate
 counts no input and can sit above it.
@@ -18,7 +18,8 @@ from __future__ import annotations
 import math
 import warnings
 from .bitseq import MAX_LEN, CapExceededError
-from .mdm import DupApproach, dup_sum, sum_max_counts
+from .dupsum import DupApproach, dup_sum
+from .mdm import sum_max_counts
 
 # ceil(n * p) snaps to the nearest integer within this slack so that
 # grid-aligned products like 10 * 0.3 do not ceil one step too far.

@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import sys
 import warnings
+from typing import Optional
 
 from .baa import baa_capacity
 from .bitseq import BinarySequence, CapExceededError, numeral_text
@@ -29,8 +31,8 @@ from .bounds import (
     reference_golden_bound,
     typical_output_length,
 )
+from .dupsum import DupApproach
 from .mdm import (
-    DupApproach,
     duplication_ratios,
     flip_sequence,
     is_alternating,
@@ -256,68 +258,80 @@ def cmd_hypotheses(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+# the subcommands in help order
+_COMMANDS = ("count", "mdm-table", "bounds", "baa", "hypotheses")
+
+
+@functools.cache
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The `delcap` parser with every subcommand or with `command`'s alone,
+    built once per process.  The latter still lists them all in its usage
+    line; the full tree leaves that metavar unset, since argparse would
+    also name the subcommand argument by it in its errors.
+    """
     parser = argparse.ArgumentParser(
         prog="delcap",
         description="Maximum-likelihood capacity bounds for deletion-type channels.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
 
-    p_count = sub.add_parser("count", help="count deletion patterns #(x, y)")
-    p_count.add_argument("x", help="input sequence, e.g. 00101011")
-    p_count.add_argument("y", help="output sequence, e.g. 0101")
-    p_count.add_argument(
-        "--verify", action="store_true", help="also run the brute-force oracle"
-    )
-    p_count.set_defaults(func=cmd_count)
+    if command in (None, "count"):
+        p_count = sub.add_parser("count", help="count deletion patterns #(x, y)")
+        p_count.add_argument("x", help="input sequence, e.g. 00101011")
+        p_count.add_argument("y", help="output sequence, e.g. 0101")
+        p_count.add_argument(
+            "--verify", action="store_true", help="also run the brute-force oracle"
+        )
+        p_count.set_defaults(func=cmd_count)
 
-    p_table = sub.add_parser("mdm-table", help="exhaustive max-count table as CSV")
-    p_table.add_argument("--n", type=int, required=True, help="input length")
-    p_table.add_argument("--m", type=int, required=True, help="output length")
-    p_table.add_argument(
-        "--approach",
-        choices=[a.value for a in DupApproach],
-        default=DupApproach.ASSIGN_TO_LAST.value,
-        help="duplication estimate when m does not divide n",
-    )
-    p_table.add_argument("--threads", type=int, default=1)
-    p_table.add_argument("--checkpoint", default=None, help="resumable progress file")
-    p_table.add_argument("--output", required=True, help="CSV path")
-    p_table.set_defaults(func=cmd_mdm_table)
+    if command in (None, "mdm-table"):
+        p_table = sub.add_parser("mdm-table", help="exhaustive max-count table as CSV")
+        p_table.add_argument("--n", type=int, required=True, help="input length")
+        p_table.add_argument("--m", type=int, required=True, help="output length")
+        p_table.add_argument(
+            "--approach",
+            choices=[a.value for a in DupApproach],
+            default=DupApproach.ASSIGN_TO_LAST.value,
+            help="duplication estimate when m does not divide n",
+        )
+        p_table.add_argument("--threads", type=int, default=1)
+        p_table.add_argument("--checkpoint", default=None, help="resumable progress file")
+        p_table.add_argument("--output", required=True, help="CSV path")
+        p_table.set_defaults(func=cmd_mdm_table)
 
-    p_bounds = sub.add_parser("bounds", help="bound curves over a d-grid as CSV")
-    p_bounds.add_argument("--channel", choices=["bec", "bsc", "bdc"], required=True)
-    p_bounds.add_argument("--n", type=int, default=None, help="block length for ML/dup kinds")
-    p_bounds.add_argument(
-        "--d-grid", required=True, help="start:stop:step, e.g. 0.1:0.9:0.1"
-    )
-    p_bounds.add_argument(
-        "--kinds",
-        default="raw,adjusted",
-        help=f"comma list for bdc: {','.join(_BDC_KIND_TOKENS)}",
-    )
-    p_bounds.add_argument("--threads", type=int, default=1)
-    p_bounds.add_argument(
-        "--gnuplot", action="store_true", help="also write <output>.gp"
-    )
-    p_bounds.add_argument("--output", required=True, help="CSV path")
-    p_bounds.set_defaults(func=cmd_bounds)
+    if command in (None, "bounds"):
+        p_bounds = sub.add_parser("bounds", help="bound curves over a d-grid as CSV")
+        p_bounds.add_argument("--channel", choices=["bec", "bsc", "bdc"], required=True)
+        p_bounds.add_argument("--n", type=int, default=None, help="block length for ML/dup kinds")
+        p_bounds.add_argument("--d-grid", required=True, help="start:stop:step, e.g. 0.1:0.9:0.1")
+        p_bounds.add_argument(
+            "--kinds",
+            default="raw,adjusted",
+            help=f"comma list for bdc: {','.join(_BDC_KIND_TOKENS)}",
+        )
+        p_bounds.add_argument("--threads", type=int, default=1)
+        p_bounds.add_argument("--gnuplot", action="store_true", help="also write <output>.gp")
+        p_bounds.add_argument("--output", required=True, help="CSV path")
+        p_bounds.set_defaults(func=cmd_bounds)
 
-    p_baa = sub.add_parser("baa", help="alternating-maximization capacity baseline")
-    p_baa.add_argument("--n", type=int, required=True)
-    p_baa.add_argument("--d", type=float, required=True)
-    p_baa.add_argument("--tol", type=float, default=1e-10)
-    p_baa.add_argument("--max-iter", type=int, default=20000)
-    p_baa.add_argument("--history", default=None, help="optional per-iteration CSV")
-    p_baa.set_defaults(func=cmd_baa)
+    if command in (None, "baa"):
+        p_baa = sub.add_parser("baa", help="alternating-maximization capacity baseline")
+        p_baa.add_argument("--n", type=int, required=True)
+        p_baa.add_argument("--d", type=float, required=True)
+        p_baa.add_argument("--tol", type=float, default=1e-10)
+        p_baa.add_argument("--max-iter", type=int, default=20000)
+        p_baa.add_argument("--history", default=None, help="optional per-iteration CSV")
+        p_baa.set_defaults(func=cmd_baa)
 
-    p_hyp = sub.add_parser(
-        "hypotheses", help="minimal duplication ratio per n, with trend columns"
-    )
-    p_hyp.add_argument("--n-list", required=True, help="comma list, e.g. 8,10,12,14")
-    p_hyp.add_argument("--factor", type=int, required=True, help="repeat factor F")
-    p_hyp.add_argument("--output", required=True, help="CSV path")
-    p_hyp.set_defaults(func=cmd_hypotheses)
+    if command in (None, "hypotheses"):
+        p_hyp = sub.add_parser(
+            "hypotheses", help="minimal duplication ratio per n, with trend columns"
+        )
+        p_hyp.add_argument("--n-list", required=True, help="comma list, e.g. 8,10,12,14")
+        p_hyp.add_argument("--factor", type=int, required=True, help="repeat factor F")
+        p_hyp.add_argument("--output", required=True, help="CSV path")
+        p_hyp.set_defaults(func=cmd_hypotheses)
 
     return parser
 
@@ -360,7 +374,11 @@ def _apply_config(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = build_parser().parse_args(_apply_config(argv))
+        argv = _apply_config(argv)
+        # argv led by a subcommand needs only its parser; anything else, the
+        # full tree, which lists the choices in its errors
+        command = argv[0] if argv and argv[0] in _COMMANDS else None
+        args = build_parser(command).parse_args(argv)
         return args.func(args)
     except SystemExit as exc:  # argparse: usage errors and --help
         return exc.code if isinstance(exc.code, int) else 2

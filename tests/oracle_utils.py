@@ -16,12 +16,14 @@ slow references the new paths must agree with:
   `delcap.baa.ChannelMatrix`, which the folded build on symmetry classes
   replaced (to rounding);
 - `partition_dup_sum_assign_by_length`, the partition enumeration that the
-  run-length DP `delcap.mdm._dup_sum_assign_by_length` replaced
-  (exactly);
+  run-length DP replaced (exactly), and `full_dp_dup_sum_assign_by_length`,
+  that DP with its last run length taken as a step like the others, which
+  `delcap.dupsum._dup_sum_assign_by_length`, closing that step in form,
+  replaced (exactly);
 - `lambda_dup_sum` with `lambda_run_weight`,
   `lambda_dup_sum_assign_to_last` and `lambda_dup_sum_assign_by_length`,
   the duplication-sum recurrences that called a weight function per term,
-  which the cached run-weight table `delcap.mdm._run_weights` replaced
+  which the cached run-weight table `delcap.dupsum._run_weights` replaced
   (exactly, the Gamma floats bit for bit);
 - `text_canonical_form`, the orbit minimum built from the sequence text,
   which `delcap.mdm.canonical_form`, the minimum of `delcap.mdm._orbit`,
@@ -343,6 +345,45 @@ def partition_dup_sum_assign_by_length(m: int, base: int, extra: int):
             arrangements //= math.factorial(a)
         total += 2 * arrangements * weight
     return total
+
+
+def full_dp_dup_sum_assign_by_length(m: int, extra: int, w: tuple) -> int:
+    """Longest-runs assignment summed over all y, exactly.
+
+    The handout depends only on the sorted run lengths, so a DP takes the
+    run lengths l = m, m-1, ..., 1 in turn and decides how many parts a of
+    length l the run multiset has.  Extras go to the longest runs first, so
+    once the parts chosen so far cover s = m - t bits of y the leftover is
+    max(0, extra - s): it is implied by t and is not part of the state.
+    The state is (t remaining, k parts so far); each added l-part multiplies
+    the weight by the run weight w[l][e] with e = min(left, l), and adding a
+    parts to k multiplies the orderings by C(k+a, a), read from a Pascal
+    table, whose product over lengths is k!/prod(a_l!).  At step l every
+    part so far is longer than l, so k <= (m-t) // (l+1), which bounds the
+    work by about m^3/6 multiply-adds.  Updating in place with t ascending
+    is safe: a step only writes to smaller t, already read this round.
+    """
+    # pascal[k][a] = C(k+a, a) for k + a <= m: each row is the prefix sums of the last
+    pascal = [[1] * (m + 1)]
+    for k in range(m):
+        pascal.append(list(itertools.accumulate(pascal[k][: m - k])))
+    g = [[0] * (m + 1) for _ in range(m + 1)]
+    g[m][0] = 1
+    for l in range(m, 0, -1):
+        wl = w[l]
+        for t in range(l, m + 1):
+            top = max(0, extra - (m - t))
+            for k in range((m - t) // (l + 1) + 1):
+                acc = g[t][k]
+                if not acc:
+                    continue
+                left, ck = top, pascal[k]
+                for a in range(1, t // l + 1):
+                    e = left if left < l else l
+                    left -= e
+                    acc *= wl[e]
+                    g[t - a * l][k + a] += acc * ck[a]
+    return 2 * sum(g[0])
 
 
 def lambda_run_weight(n: int, m: int, approach: DupApproach):

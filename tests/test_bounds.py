@@ -25,9 +25,10 @@ from delcap import (
     typical_output_length,
 )
 from delcap.bitseq import MAX_LEN
-from delcap.mdm import _dup_sum_assign_by_length, _run_weights, dup_estimate
+from delcap.dupsum import _dup_sum_assign_by_length, _run_weights
+from delcap.mdm import dup_estimate
 from oracle_utils import expected_runs, expected_runs_exact, mu_d
-from oracle_utils import partition_dup_sum_assign_by_length
+from oracle_utils import full_dp_dup_sum_assign_by_length, partition_dup_sum_assign_by_length
 
 # (m, base, extra, exact assign-by-length sum) at n = 63, computed once with
 # partition_dup_sum_assign_by_length (about 10 s, too slow to rerun here)
@@ -136,6 +137,16 @@ def test_assign_by_length_dp_matches_partition_enumeration():
                 assert _assign_by_length(
                     m, base, extra
                 ) == partition_dup_sum_assign_by_length(m, base, extra), (m, base, extra)
+
+
+def test_assign_by_length_closed_last_step_matches_the_full_dp():
+    # every fractional factor the bounds reach: each (n, m) with n % m != 0
+    for n in range(2, MAX_LEN + 1):
+        for m in range(2, n):
+            if n % m:
+                w = _run_weights(n, m, DupApproach.ASSIGN_BY_LENGTH)
+                got = _dup_sum_assign_by_length(m, n % m, w)
+                assert got == full_dp_dup_sum_assign_by_length(m, n % m, w), (n, m)
 
 
 def test_assign_by_length_bound_matches_partition_enumeration():

@@ -4,7 +4,10 @@ Everything drives delcap.cli.main(argv) directly so exit codes and output
 bytes are checked in-process.
 """
 
+import json
 import math
+import os
+import sys
 
 import pytest
 
@@ -392,6 +395,33 @@ def test_config_usage_errors_exit_2(tmp_path, capsys):
 def test_help_exits_0(capsys):
     assert run(["--help"]) == 0
     assert "usage: delcap" in capsys.readouterr().out
+
+
+# --help of delcap and of each subcommand, and the usage errors (unknown
+# subcommand, missing or unrecognized option, bad choice, --config errors),
+# as the whole parser tree printed them under COLUMNS=80 on the Python
+# version in the file; "{tmp}" stands for the directory of its files
+USAGE_TEXT = os.path.join(os.path.dirname(__file__), "cli_usage.json")
+
+
+def test_usage_and_help_texts_keep_their_bytes(tmp_path, monkeypatch, capsys):
+    with open(USAGE_TEXT, encoding="utf-8") as fh:
+        recorded = json.load(fh)
+    monkeypatch.setenv("COLUMNS", str(recorded["columns"]))
+    for name, text in recorded["files"].items():
+        (tmp_path / name).write_text(text)
+    # argparse lays help out differently from one Python version to the next
+    same_python = tuple(recorded["python"]) == sys.version_info[:2]
+    for case in recorded["cases"]:
+        argv = [arg.replace("{tmp}", str(tmp_path)) for arg in case["argv"]]
+        got = run(argv), *capsys.readouterr()
+        # the same bytes as the whole tree prints on this Python
+        with monkeypatch.context() as full:
+            full.setattr(cli, "build_parser", lambda _command, tree=cli.build_parser(): tree)
+            assert got == (run(argv), *capsys.readouterr()), case["argv"]
+        if same_python:
+            texts = (case[key].replace("{tmp}", str(tmp_path)) for key in ("stdout", "stderr"))
+            assert got == (case["rc"], *texts), case["argv"]
 
 
 def test_baa_stdout_and_history(tmp_path, capsys):

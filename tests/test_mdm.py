@@ -28,7 +28,7 @@ from delcap import (
     stirling_lower_bound,
     sum_max_counts,
 )
-from delcap import mdm, patcount
+from delcap import dupsum, mdm, patcount
 from delcap.bitseq import MAX_LEN
 from delcap.mdm import _classes, _format_checkpoint_line, _orbit, _parse_checkpoint, _solve_class
 from oracle_utils import (
@@ -263,12 +263,12 @@ def test_assign_to_last_column_and_diagonal_match_full_table():
             for extra in range(m):
                 n = base * m + extra
                 want = lambda_dup_sum_assign_to_last(m, extra, lambda_run_weight(n, m, approach))
-                got = mdm._dup_sum_assign_to_last(m, extra, mdm._run_weights(n, m, approach))
+                got = dupsum._dup_sum_assign_to_last(m, extra, dupsum._run_weights(n, m, approach))
                 assert type(got) is int and got == want, (m, base, extra)
         # the Gamma weights take the column alone, bit for bit
         for n in range(m + 1, 2 * m + 1):
             want = lambda_dup_sum_assign_to_last(m, 0, lambda_run_weight(n, m, DupApproach.GAMMA))
-            got = mdm._dup_sum_assign_to_last(m, 0, mdm._run_weights(n, m, DupApproach.GAMMA))
+            got = dupsum._dup_sum_assign_to_last(m, 0, dupsum._run_weights(n, m, DupApproach.GAMMA))
             assert type(got) is type(want) and got == want, (n, m)
 
 
