@@ -14,13 +14,11 @@ Between them the loop takes damped Newton steps in ln P on the
 optimality conditions (see `_newton_direction`), each of which builds and
 solves an r x r system, r the number of input classes, at the cost of
 about 2^(n-3) relaxed iterations; they settle class masses of 1e-19 that
-the multiplicative update moves by 1e-6 in ln P per step.  The masked
-step (ln q = 0 where q = 0, D_C = 0 where P_C = 0) redoes an iteration only
-on one of those exact zeros; from the uniform start that is a mass so small
-that an output only its class reaches underflows to q = 0, and it drops to 0.
-A run whose support shrank does not report convergence: the max over the
-support left leaves out a class that Blahut's bracket must score, whose
-divergence is infinite once its own output reads q = 0.
+the multiplicative update moves by 1e-6 in ln P per step.  Both moves
+raise every input mass P_C / s_C to at least `MASS_FLOOR` (`_reweight`),
+so no mass and no q_O underflows to 0 and every divergence is finite.  A
+closed bracket, a max over every class, certifies the proxy; the KKT
+residual measures the distribution.
 Internals work in nats, the API reports bits per symbol.
 """
 
@@ -50,17 +48,17 @@ BAA_MAX_N = 14
 _LN2 = math.log(2.0)
 
 # Below this mass an input is treated as off-support when scoring KKT
-# optimality; multiplicative updates make exact zeros only by underflow.
+# optimality; the loop's masses never fall below `MASS_FLOOR`.
 KKT_SUPPORT_EPS = 1e-12
 
-# A Newton candidate's input masses p_C / s_C below this are raised to it.
-# Where the optimum wants a class below the double range, as at (9, 0.7),
-# which asks e^-300 times 1e-247, Newton's step in ln p leaves it here and
+# Every update raises each input mass p_C / s_C below this to it.  Where
+# the optimum wants a class below the double range, as at (9, 0.7), which
+# asks e^-300 times 1e-247, the class stays here and Newton's step in ln p
 # settles the rest; such a class has D_C below the information, so it does
-# not hold the bracket open.  1e-200 lies under every mass a converged run has
-# ended on (1.7e-155 at (8, 0.7)) and leaves the relaxed updates between
-# Newton steps 1e108 of headroom above the subnormals.
-NEWTON_FLOOR = 1e-200
+# not hold the bracket open.  1e-200 lies under every mass a run converged
+# on before the floor applied to every update (1.7e-155 at (8, 0.7)), and
+# q_O, at least 1e-200 times some w[C, O], stays clear of the subnormals.
+MASS_FLOOR = 1e-200
 
 # Step sizes a Newton candidate tries, 1 down to 2^-NEWTON_HALVINGS.
 NEWTON_HALVINGS = 5
@@ -151,20 +149,13 @@ def build_channel_matrix(n: int, d: float) -> ChannelMatrix:
 
 def _input_divergences(w: ChannelMatrix, p: np.ndarray) -> np.ndarray:
     """D_C = sum_y W ln(W/q) = h_C - sum_O t_O w[C,O] ln q_O nats for every
-    class C, q = p w; +inf where some O with w[C,O] > 0 has q_O = 0, off
-    support or on a mass that underflowed there."""
+    class C, q = p w; +inf where some O with w[C,O] > 0 has q_O = 0, which
+    only a p with exact zeros, such as a point mass, leaves."""
     q = np.dot(p, w.w)
     dead = q <= 0.0
     D = w.h - w.w @ (np.log(q, out=np.zeros_like(q), where=~dead) * w.t)
     D[(w.w[:, dead] > 0.0).any(axis=1)] = np.inf
     return D
-
-
-def _step(w: ChannelMatrix, p: np.ndarray) -> tuple[np.ndarray, float]:
-    """(D, mutual information in nats) of class masses p; D_C is 0 where
-    p_C = 0, which leaves the information and the update p_C exp(D_C) as is."""
-    D = np.where(p > 0.0, _input_divergences(w, p), 0.0)
-    return D, float(np.dot(p, D))
 
 
 def baa_capacity(
@@ -174,12 +165,12 @@ def baa_capacity(
 
     The bracket is (max_C D_C - sum_C p_C D_C) / n in bits: an upper and
     lower capacity estimate from the same divergences.  Non-convergence
-    within max_iter is reported through the `converged` flag, not an error,
-    as is a run that lost a class mass to underflow (see `_iterate`).
+    within max_iter is reported through the `converged` flag, not an error.
     The KKT residual is of the last distribution scored, the one whose
     information is the capacity proxy, converged or not.
 
-    Each relaxed update is p exp(mu D) / sum, D the divergences in nats.
+    Each relaxed update is p exp(mu D) / sum, D the divergences in nats,
+    with every mass raised to the floor (`_reweight`).
     With g the bracket max D - info in nats of this iterate and g' the one
     before, mu is 1 on the first update, when g' <= 0 or either is not
     finite; 2 when the bracket did not shrink; else min(2, g' / (g' - g)),
@@ -195,7 +186,7 @@ def baa_capacity(
     if max_iter < 1:
         raise ValueError("iteration cap must be >= 1")
     w = build_channel_matrix(n, d)
-    history, p, converged = _iterate(w, w.s / (1 << n), tol, max_iter)
+    history, p, converged = _iterate(w, tol, max_iter)
     proxy = history[-1]
     return BaaReport(
         n=n,
@@ -209,12 +200,13 @@ def baa_capacity(
     )
 
 
-def _iterate(w: ChannelMatrix, p: np.ndarray, tol: float, max_iter: int) -> tuple:
-    """(history in bits per symbol, last p scored, converged) from a copy of p.
+def _iterate(w: ChannelMatrix, tol: float, max_iter: int) -> tuple:
+    """(history in bits per symbol, last p scored, converged) from the
+    uniform input, masses s / 2^n.
 
-    Each pass scores p (`_score`) and then moves it, by a damped Newton
-    step (`_newton`) when one is due and accepted, else by the relaxed
-    update of `baa_capacity` in place.  A Newton step costs r^2 c flops for
+    Each pass scores p (`_divergences`) and then moves it, by a damped
+    Newton step (`_newton`) when one is due and accepted, else by the
+    relaxed update of `baa_capacity`.  A Newton step costs r^2 c flops for
     J and 2 r^3 / 3 for its solve against 4 r c for a relaxed iteration, r
     about 2^n / 4 input and c about 2 r output classes: at most about
     2^(n-3) relaxed iterations (measured at n = 12: 0.12 s, about 50).  So a
@@ -222,35 +214,30 @@ def _iterate(w: ChannelMatrix, p: np.ndarray, tol: float, max_iter: int) -> tupl
     after an accepted step, and 2^(n-3) 2^(k-1) iterations after the k-th
     rejection in a row: at d >= 0.9 the candidates mostly overflow or
     lower the information and are refused.  The schedule reads only
-    n and the history, so the fold and the dense channel decide alike.  A
-    step is tried only when the scores came from the unmasked path, on full
-    support with every q_O > 0.  The masked max D leaves out classes that
-    dropped to 0, so a run whose support shrank below that of the start
-    never reports convergence.  The relaxed iteration allocates nothing;
-    a Newton step allocates its system and candidates."""
+    n and the history, so the fold and the dense channel decide alike.
+    The relaxed update writes the new p over D, and D takes the old p's
+    buffer: it allocates nothing.  A Newton step allocates its system and candidates."""
     scale = w.n * _LN2
-    p = np.array(p, dtype=np.float64)
+    p, floor = w.s / (1 << w.n), MASS_FLOOR * w.s
     q, D = np.empty(w.w.shape[1]), np.empty(w.w.shape[0])
     history: list[float] = []
     last = math.nan  # the previous bracket in nats; none before the first update
-    support = np.count_nonzero(p)
     wait = 1 << max(w.n - 3, 0)
     due, misses = wait, 0
-    # ln 0 and 0 * ln 0 come only from an exact zero in q, and _step redoes that
-    # iteration; a Newton candidate that overflows is scored NaN and refused
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        info, top, clean = _score(w, p, q, D)
+    # a Newton candidate that overflows is scored NaN and refused
+    with np.errstate(invalid="ignore", over="ignore"):
+        info, top = _divergences(w, p, q, D)
         while True:
             history.append(info / scale)
             gap = top - info
-            converged = bool(gap / scale <= tol and np.count_nonzero(p) == support)
+            converged = bool(gap / scale <= tol)
             if converged or len(history) == max_iter:
                 return history, p, converged
             mu = 1.0
             if 0.0 < last < math.inf and math.isfinite(gap):
                 mu = 2.0 if gap >= last else min(2.0, last / (last - gap))
             last = gap
-            if clean and len(history) >= due:
+            if len(history) >= due:
                 step = _newton(w, p, D, q, info, gap)
                 if step is not None:
                     p, D, info, top = step
@@ -258,39 +245,28 @@ def _iterate(w: ChannelMatrix, p: np.ndarray, tol: float, max_iter: int) -> tupl
                     continue
                 misses += 1
                 due = len(history) + (wait << (misses - 1))
-            np.multiply(D, mu, out=D)
-            np.multiply(p, np.exp(D, out=D), out=p)  # the residual is of the proxy's p
-            np.divide(p, np.add.reduce(p), out=p)
-            info, top, clean = _score(w, p, q, D)
+            p, D = _reweight(p, D, mu, floor, D), p
+            info, top = _divergences(w, p, q, D)
+
+
+def _reweight(p: np.ndarray, v: np.ndarray, a: float, floor: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """p exp(a v) / sum written into out, which may be v, each mass raised
+    to at least floor (which adds at most 2^n `MASS_FLOOR` to the sum of 1)."""
+    np.multiply(v, a, out=out)
+    np.multiply(p, np.exp(out, out=out), out=out)
+    np.divide(out, np.add.reduce(out), out=out)
+    return np.maximum(out, floor, out=out)
 
 
 def _divergences(w: ChannelMatrix, p: np.ndarray, q: np.ndarray, D: np.ndarray) -> tuple[float, float]:
     """(information, max D) in nats, with D = h - w (t ln q), q = p w, written
-    into D op for op as `_input_divergences` on full support and q > 0; an
-    exact zero in q makes max D infinite or NaN.  Allocates nothing."""
+    into D op for op as `_input_divergences` where q > 0.  Allocates nothing."""
     p.dot(w.w, out=q)
     np.log(q, out=q)
     np.multiply(q, w.t, out=q)
     w.w.dot(q, out=D)
     np.subtract(w.h, D, out=D)
     return float(p.dot(D)), float(np.maximum.reduce(D))
-
-
-def _score(w: ChannelMatrix, p: np.ndarray, q: np.ndarray, D: np.ndarray) -> tuple[float, float, bool]:
-    """(information, max D, clean) of p, D in place: on full support
-    `_divergences`, and on an exact zero in q (max D not finite) or in p
-    `_step` alone, after which a class whose D_C is infinite on support, a
-    mass so small that q underflowed to 0 on an output only it reaches,
-    drops to p_C = 0 in place; clean is False when `_step` ran."""
-    if np.count_nonzero(p) == p.size:
-        info, top = _divergences(w, p, q, D)
-        if math.isfinite(top):
-            return info, top, True
-    D[...], info = _step(w, p)
-    while math.isinf(info):  # a p_C too small for its own outputs' q: drop it
-        p[np.isinf(D)] = 0.0
-        D[...], info = _step(w, p)
-    return info, float(np.maximum.reduce(D)), False
 
 
 def _newton_direction(w: ChannelMatrix, p: np.ndarray, D: np.ndarray) -> np.ndarray:
@@ -318,9 +294,8 @@ def _newton_direction(w: ChannelMatrix, p: np.ndarray, D: np.ndarray) -> np.ndar
 
 
 def _newton(w: ChannelMatrix, p: np.ndarray, D: np.ndarray, q: np.ndarray, info: float, gap: float):
-    """(p, D, information, max D) of the first candidate p exp(a du) / sum,
-    a = 1, 1/2, ..., 2^-NEWTON_HALVINGS, each input mass p_C / s_C raised
-    to at least `NEWTON_FLOOR`, whose information is finite and
+    """(p, D, information, max D) of the first candidate `_reweight(p, du, a)`,
+    a = 1, 1/2, ..., 2^-NEWTON_HALVINGS, whose information is finite and
     not below `info` by more than `NEWTON_SLACK`, and whose bracket
     max D - information is below `gap`; None when there is none or J is
     singular.  The information history therefore falls by at most
@@ -329,13 +304,11 @@ def _newton(w: ChannelMatrix, p: np.ndarray, D: np.ndarray, q: np.ndarray, info:
         du = _newton_direction(w, p, D)
     except np.linalg.LinAlgError:
         return None
-    floor = NEWTON_FLOOR * w.s
+    floor = MASS_FLOOR * w.s
     least = info - NEWTON_SLACK * w.n * _LN2
     new_D = np.empty(w.w.shape[0])
     for k in range(NEWTON_HALVINGS + 1):
-        new = p * np.exp(0.5**k * du)
-        new /= np.add.reduce(new)
-        np.maximum(new, floor, out=new)  # adds at most 2^n 1e-200 to the sum of 1
+        new = _reweight(p, du, 0.5**k, floor, np.empty_like(p))
         new_info, top = _divergences(w, new, q, new_D)
         if math.isfinite(top) and new_info >= least and top - new_info < gap:
             return new, new_D, new_info, top

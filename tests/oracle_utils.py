@@ -37,11 +37,11 @@ slow references the new paths must agree with:
   (to rounding);
 - `masked_input_divergences` and `masked_step`, those two products with
   the zero-mass masking done on every call, on any fold, which the
-  in-place loop of `delcap.baa._iterate` replaced on every iteration
-  without an exact zero (bit for bit); `reweight`, the update
-  p exp(mu D) / sum, and `relaxation`, its step factor mu from the last
-  two brackets, which its in-place update replaced (bit for bit), with
-  `masked_run`, the whole loop on them;
+  in-place loop of `delcap.baa._iterate` replaced (bit for bit: its masses
+  never reach 0); `reweight`, the update p exp(mu D) / sum, and
+  `relaxation`, its step factor mu from the last two brackets, which its
+  in-place update replaced (bit for bit), with `masked_run`, the whole
+  loop on them with the mass floor;
 - `plain_run`, the loop with the plain update p exp(D) / sum that the
   over-relaxed update replaced (the tests bound its iteration counts and
   proxies, not its values).
@@ -76,7 +76,7 @@ from delcap import (
     count_deletion_patterns,
     runs,
 )
-from delcap.baa import NEWTON_FLOOR, NEWTON_HALVINGS, NEWTON_SLACK
+from delcap.baa import MASS_FLOOR, NEWTON_HALVINGS, NEWTON_SLACK
 from delcap.bitseq import MAX_LEN
 from delcap.patcount import VECTOR_MAX_N
 
@@ -644,7 +644,7 @@ def newton_direction(w, p: np.ndarray, D: np.ndarray) -> np.ndarray:
 
 def newton_candidate(w, p: np.ndarray, D: np.ndarray, info: float, gap: float, scores=None):
     """(p, D, information) of the first `reweight(p, du, 2^-k)`, k = 0 to
-    NEWTON_HALVINGS, every p_C / s_C raised to at least NEWTON_FLOOR, with a finite
+    NEWTON_HALVINGS, every p_C / s_C raised to at least MASS_FLOOR, with a finite
     information not below `info` by more than NEWTON_SLACK bits per symbol
     and a bracket below `gap`; None when there
     is none or J is singular.  `scores` maps p to (D, information), by
@@ -656,7 +656,7 @@ def newton_candidate(w, p: np.ndarray, D: np.ndarray, info: float, gap: float, s
             return None
         for k in range(NEWTON_HALVINGS + 1):
             new = reweight(p, du, 0.5**k)
-            new = np.maximum(new, NEWTON_FLOOR * w.s)
+            new = np.maximum(new, MASS_FLOOR * w.s)
             new_D, new_info = (scores or masked_step)(w, new)
             top = float(new_D.max())
             least = info - NEWTON_SLACK * w.n * math.log(2.0)
@@ -684,30 +684,29 @@ class NewtonSchedule:
 
 def masked_run(w, p: np.ndarray, tol: float = 1e-10, max_iter: int = 20000):
     """(history in bits per symbol, last p scored, converged) of the loop on
-    `masked_step` from a copy of p: on full support with every q_O > 0 a
-    `newton_candidate` when the `NewtonSchedule` has one due and it is
-    accepted, else `reweight` by the `relaxation` of the last two brackets;
-    a run whose support shrank below that of the start is not converged."""
+    `masked_step` from a copy of p: a `newton_candidate` when the
+    `NewtonSchedule` has one due and it is accepted, else `reweight` by the
+    `relaxation` of the last two brackets with every p_C / s_C raised to at
+    least MASS_FLOOR."""
     scale = w.n * math.log(2.0)
     p, history, last = np.array(p, dtype=np.float64), [], math.nan
-    support = int((p > 0.0).sum())
     schedule = NewtonSchedule(w.n)
-    D, info = _masked_scores(w, p)
+    D, info = masked_step(w, p)
     while True:
         history.append(info / scale)
         gap = float(D.max()) - info
-        converged = gap / scale <= tol and int((p > 0.0).sum()) == support
+        converged = gap / scale <= tol
         if converged or len(history) == max_iter:
             return history, p, converged
         mu, last = relaxation(last, gap), gap
-        if len(history) >= schedule.due and p.all() and (p @ w.w > 0.0).all():
+        if len(history) >= schedule.due:
             step = newton_candidate(w, p, D, info, gap)
             schedule.record(len(history), step is not None)
             if step is not None:
                 p, D, info = step
                 continue
-        p = reweight(p, D, mu)
-        D, info = _masked_scores(w, p)
+        p = np.maximum(reweight(p, D, mu), MASS_FLOOR * w.s)
+        D, info = masked_step(w, p)
 
 
 def plain_run(w, p: np.ndarray, tol: float = 1e-10, max_iter: int = 20000):
