@@ -34,15 +34,7 @@ from .mdm import _classes
 from .patcount import counts_for_all_inputs  # noqa: F401  (the benchmark tracer wraps this name)
 from .patcount import split_counts
 
-# The folded matrix is about 2^n/4 x 2^(n+1)/4 float64: 17, 67 and 266 MiB
-# at n = 12, 13 and 14 (4,160 x 8,383, built in 2.5 s on one core), so about
-# 1 GiB at n = 15.  A Newton step adds J, r x r for r input classes, and the
-# solver's copy of it, half of w each at n = 14.  Measured on one core of a
-# 2-vCPU Xeon with one BLAS thread: `baa --n 12 --d 0.5` peaks at 85 MiB
-# (48 after the build) and takes 0.11-0.17 s per Newton step, converging in
-# 1,033 iterations and 4.0 s; at n = 14 (d = 0.5) the peak is 606 MiB (297
-# after the build) and a Newton step takes 6.0-7.7 s, against about 50 ms
-# per relaxed iteration.  The cap stays at 14 until a larger n is measured.
+# The folded matrix quadruples per n (266 MiB at 14); measured costs in README.
 BAA_MAX_N = 14
 
 _LN2 = math.log(2.0)
@@ -52,11 +44,9 @@ _LN2 = math.log(2.0)
 KKT_SUPPORT_EPS = 1e-12
 
 # Every update raises each input mass p_C / s_C below this to it.  Where
-# the optimum wants a class below the double range, as at (9, 0.7), which
-# asks e^-300 times 1e-247, the class stays here and Newton's step in ln p
-# settles the rest; such a class has D_C below the information, so it does
-# not hold the bracket open.  1e-200 lies under every mass a run converged
-# on before the floor applied to every update (1.7e-155 at (8, 0.7)), and
+# the optimum wants a class below the double range, as at (9, 0.7), the
+# class stays here and Newton's step in ln p settles the rest; such a class
+# has D_C below the information, so it does not hold the bracket open.
 # q_O, at least 1e-200 times some w[C, O], stays clear of the subnormals.
 MASS_FLOOR = 1e-200
 

@@ -47,12 +47,7 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
 
-# From this input length on a class is solved by the pruned product of its
-# split tables, below it by the dense one.  Per class on float32 tables (2
-# vCPUs, one BLAS thread, 10 alternating pairs, three m per n), pruned took
-# 1.13-1.42x the dense time at n = 15, 0.93-1.12x at n = 16, where neither
-# side won at every m, and 0.76-0.90x at n = 17 with ties; 1.41-1.45x,
-# 1.05-1.07x and 0.70-0.87x without.
+# First n whose classes take the pruned product, where it was measured to win (README).
 PRUNE_MIN_N = 16
 
 
@@ -446,9 +441,11 @@ def duplication_ratios(n: int, F: int) -> dict[int, Fraction]:
 
     m = n // F
     _check_search(n, m)
+    reps = _classes(m)[1]
+    _, dups = _dup_rows(n, m, DupApproach.ASSIGN_TO_LAST, reps)
     return {
-        rep: Fraction(dup_estimate(BinarySequence(rep, m), n)[1], max_count)
-        for rep, max_count, _ in _map_classes(_classes(m)[1], m, n, 1)
+        rep: Fraction(dup, max_count)
+        for (rep, max_count, _), dup in zip(_map_classes(reps, m, n, 1), dups)
     }
 
 

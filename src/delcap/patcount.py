@@ -37,23 +37,11 @@ from .bitseq import BinarySequence, CapExceededError
 # practical oracle.
 ORACLE_MAX_N = 20
 
-# SPLIT_BYTES bounds the split kernel's product blocks at every n and its
-# tables up to n = 20; from n = 21 one output's tables can exceed their share
-# (852 KB at n = 24, m = 12) and make a batch alone (`split_batch`).  The
-# dense product costs 2^n * band multiply-adds a class (74-124 ms at n = 24
-# on 2 vCPUs, one BLAS thread), the pruned one 2-6 ms there (m = 6, 12, 18);
-# 24 stays the exhaustive search cap until a sweep past it is measured.
-# Every table entry, product entry, bound and partial sum of the kernel is
-# an integer at most C(n, m), which its float32 COUNT_DTYPE holds exactly
-# for every m up to n = 26 (C(26, 13) < 2^24) and not beyond
-# (C(27, 13) > 2^24): a cap past 26 needs a wider dtype.
+# The largest n measured (README); float32 counts stay exact up to n = 26.
 VECTOR_MAX_N = 24
 COUNT_DTYPE = np.dtype(np.float32)
 
-# Working set of one split kernel call: one batch of tables (three
-# quarters) plus one product block (the last quarter).  It equals the
-# 16 * 2^n bytes of the prefix walk the kernel replaced at n = 14 and is
-# below it beyond.  The cached count tables below are held apart from it.
+# Working set of one split kernel call: tables in 3/4, a product block in 1/4.
 SPLIT_BYTES = 1 << 18
 
 # Every walk starts from a cached count table of all inputs of its first
