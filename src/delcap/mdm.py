@@ -6,11 +6,12 @@ split pattern-count kernel, one chunk of symmetry classes per table batch.
 Pattern counts are the same on every member of an orbit under complement
 and reversal, so one sweep over all y in {0,1}^m maps each y's numeral to
 its orbit's smallest numeral, the class rep, and only reps are solved.
-Below PRUNE_MIN_N a class's counts are the dense product of its split
-tables; from it on only the rows and columns of that product that can hold
-the maximum are multiplied out (`patcount.pruned_blocks`), which keeps
-every maximizer and so every smallest-numeral tie-break, settled once per
-chunk of classes.  Outputs, reps, maximizers and candidates stay numerals
+Each class's counts come from its split tables (`patcount.split_tables`):
+below PRUNE_MIN_N as their dense product, in row blocks; from it on only
+the rows and columns of that product that can hold the maximum are
+multiplied out (`patcount.pruned_blocks`), which keeps every maximizer
+and so every smallest-numeral tie-break, settled once per chunk of
+classes.  Outputs, reps, maximizers and candidates stay numerals
 in `MdmTable`'s columns; only the checkpoint and CSV writers make text.
 The duplication estimate replaces the true maximizer with a candidate
 that stretches every run of y: `_dup_rows` builds it as a numeral for all
@@ -39,15 +40,15 @@ import numpy as np
 
 from .bitseq import MAX_LEN, BinarySequence, CapExceededError, numeral_text, runs
 from .dupsum import DupApproach, _run_weights
-from .patcount import VECTOR_MAX_N, count_deletion_patterns, pruned_blocks, split_batch
-from .patcount import split_counts, split_tables
+from .patcount import VECTOR_MAX_N, block_rows, count_deletion_patterns, pruned_blocks
+from .patcount import split_batch, split_tables
 from .patcount import counts_for_all_inputs  # noqa: F401  (the benchmark tracer wraps this name)
 
 if TYPE_CHECKING:
     from fractions import Fraction
 
 
-# First n whose classes take the pruned product, where it was measured to win (README).
+# First n whose classes take the pruned product; README has the measured trade-off.
 PRUNE_MIN_N = 16
 
 
@@ -236,26 +237,27 @@ def _map_classes(reps: list, m: int, n: int, threads: int, ties: bool = False):
 
 
 def _class_blocks(reps: list, m: int, n: int):
-    """(c, counts, numerals) per block of the counts of reps[c]: counts is
-    a flat array of some of its inputs' counts, and numerals maps positions
-    in counts to those inputs' numerals.
+    """(c, block, us, vs) per block of the counts of reps[c]: block[i, j]
+    is the count of input us[i] * 2^b + vs[j], b = n - n // 2.
 
-    Below PRUNE_MIN_N the blocks are the dense products of `split_counts`;
-    from it on, the `pruned_blocks` of each class, which hold every
-    maximizer of the class and skip the rows and columns that cannot.
+    Both paths take each class's `split_tables` pre and suf.  Below
+    PRUNE_MIN_N the blocks are the dense product pre @ suf^T in rows u
+    that fit the last quarter of SPLIT_BYTES (`block_rows`: the whole
+    product up to n = 14, two halves at n = 15); from it on, the
+    `pruned_blocks`, which hold every maximizer of the class and skip the
+    rows and columns that cannot.
     """
-    if n < PRUNE_MIN_N:
-        for first, x0, block in split_counts(reps, m, n):
-            for c, row in enumerate(block, first):
-                yield c, row, lambda at, x0=x0: at + x0
-        return
-    b = n - n // 2
+    a, b = n // 2, n - n // 2
+    us, vs = np.arange(1 << a), np.arange(1 << b)
+    step = block_rows(1 << b)
     for first, pre, suf in split_tables(reps, m, n):
-        for c, tables in enumerate(zip(pre, suf), first):
-            for us, vs, block in pruned_blocks(*tables):
-                yield c, block.ravel(), (
-                    lambda at, us=us, vs=vs: us[at // len(vs)] << b | vs[at % len(vs)]
-                )
+        for c, (p, s) in enumerate(zip(pre, suf), first):
+            if n < PRUNE_MIN_N:
+                for u in range(0, len(p), step):
+                    yield c, p[u : u + step] @ s.T, us[u : u + step], vs
+            else:
+                for rows, cols, block in pruned_blocks(p, s):
+                    yield c, block, rows, cols
 
 
 def _solve_class(reps: list, m: int, n: int, ties: bool = False) -> list[tuple[int, int, dict]]:
@@ -274,12 +276,14 @@ def _solve_class(reps: list, m: int, n: int, ties: bool = False) -> list[tuple[i
     """
     best = [-1] * len(reps)
     picks: list = [[] for _ in reps]
-    for c, counts, numerals in _class_blocks(reps, m, n):
-        top = int(counts.max())
+    b = n - n // 2
+    for c, block, us, vs in _class_blocks(reps, m, n):
+        top = int(block.max())
         if top < best[c]:
             continue
         if ties:
-            found = numerals(np.flatnonzero(counts == top))
+            at = np.flatnonzero(block == top)
+            found = us[at // len(vs)] << b | vs[at % len(vs)]
             picks[c] = (picks[c] if top == best[c] else []) + [found]
         best[c] = top
     if not ties or not reps:

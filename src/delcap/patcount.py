@@ -11,9 +11,11 @@ all 2^n inputs are one product of the two tables per output.  Each walk
 starts from a gather out of a cached table of the counts of every input of
 its first TABLE_LEN symbols (`_count_table`, 128 KiB per process) and steps
 only the symbols past them.
-`split_counts` (and `counts_for_all_inputs` for one output) takes that
-product whole, in blocks within a byte budget; `pruned_blocks` takes only
-the rows and columns of one output's product that can hold its maximum.
+`split_counts` takes that product whole, in blocks within a byte budget,
+for the channel matrix and `counts_for_all_inputs`; the class solve takes
+each output's tables itself and multiplies them out in row blocks
+(`block_rows`) or, with `pruned_blocks`, only the rows and columns that
+can hold its maximum.
 Tables, products and bounds are integers of at most C(n, m) < 2^24 for
 n <= VECTOR_MAX_N, so they stay in float32, exactly, from the walk to the
 product.
@@ -104,18 +106,19 @@ def _count_table(length: int) -> np.ndarray:
     2 * col(z') + 1 + c.  One more column, the last, is all zeros.  Each
     table comes from the one a symbol shorter by the walk's recurrence
     #(w' b, z' c) = #(w', z' c) + [b = c] #(w', z'), where #(w', z' c) is
-    0 when z' c is longer than w'.
+    0 when z' c is longer than w'.  T is stored by column (T.T is
+    C-contiguous), so a walk's start is a gather of whole columns.
     """
-    table = np.array([[1, 0]], dtype=COUNT_DTYPE)
+    table = np.array([[1], [0]], dtype=COUNT_DTYPE)
     for level in range(1, length + 1):
-        # rows 2 w' + b, built in place: no temporary beside the two tables
-        grown = np.zeros((1 << (level - 1), 2, 2 << level), dtype=COUNT_DTYPE)
-        grown[:, :, : table.shape[1]] = table[:, None]
-        grown[:, 0, 1::2] += table
-        grown[:, 1, 2::2] += table[:, :-1]
-        table = grown.reshape(1 << level, -1)
+        # inputs 2 w' + b, built in place: no temporary beside the two tables
+        grown = np.zeros((2 << level, 1 << (level - 1), 2), dtype=COUNT_DTYPE)
+        grown[: len(table)] = table[:, :, None]
+        grown[1::2, :, 0] += table
+        grown[2::2, :, 1] += table[:-1]
+        table = grown.reshape(-1, 1 << level)
     table.setflags(write=False)
-    return table
+    return table.T
 
 
 def _walk(sym: np.ndarray, length: int, rows: int, append: bool) -> np.ndarray:
@@ -133,7 +136,8 @@ def _walk(sym: np.ndarray, length: int, rows: int, append: bool) -> np.ndarray:
     SPLIT_BYTES working set): row k reads y_c[:k]'s column, forwards with
     append and backwards without (#(x, z) is #(x reversed, z reversed)), or
     the zero column for k > start.  The gathered state, 4 bytes per row and
-    lane, is below the 6 of a level; at start = 0 it is row 0 = 1.
+    lane, is below the 6 of a level; at start = 0 it is row 0 = 1.  A walk
+    of at most TABLE_LEN symbols is that gather alone.
 
     The rows of every output sit side by side in one contiguous lane, so a
     level is three whole-array operations on the lanes; shifting a lane by
@@ -155,7 +159,9 @@ def _walk(sym: np.ndarray, length: int, rows: int, append: bool) -> np.ndarray:
     cols[:, 1 : known + 1] = np.cumsum((1 + sym[:, :known]) << shift, axis=1)
     if append:
         cols[:, 1 : known + 1] >>= shift
-    state = table[:, cols.ravel()]
+    state = table.T[cols.ravel()].T
+    if start == length:
+        return state.reshape(-1, count, rows)
     # grow[b, c, k] = 1 where y_c[k-1] == b; row 0 (empty prefix of y) never grows
     grow = np.zeros((2, count, rows), dtype=COUNT_DTYPE)
     grow[1, :, 1:] = sym[:, : rows - 1]
@@ -173,6 +179,12 @@ def _walk(sym: np.ndarray, length: int, rows: int, append: bool) -> np.ndarray:
         children[..., 0] = old[..., 0]
         state = children.reshape(2 << j, lane)
     return state.reshape(-1, count, rows)
+
+
+def block_rows(width: int) -> int:
+    """Rows of `width` COUNT_DTYPE entries that fit the last quarter of
+    SPLIT_BYTES, the product block's share (>= 1)."""
+    return max(1, SPLIT_BYTES // 4 // (COUNT_DTYPE.itemsize * width))
 
 
 def split_batch(n: int, m: int) -> int:
@@ -263,11 +275,9 @@ def split_counts(ys, m: int, n: int):
 
 def _split_blocks(tables, n: int):
     b = n - n // 2
-    quarter = SPLIT_BYTES // 4
     # a block is the whole products of `outs` outputs when one fits the
     # quarter (step then spans every row u), else `step` rows u of one
-    outs = max(1, quarter // (COUNT_DTYPE.itemsize << n))
-    step = max(1, quarter // (COUNT_DTYPE.itemsize << b))
+    outs, step = block_rows(1 << n), block_rows(1 << b)
     for first, pre, suf in tables:
         # per output: (2^a, band) @ (band, 2^b), rows u and columns v
         suf = suf.transpose(0, 2, 1)
@@ -305,7 +315,7 @@ def pruned_blocks(pre: np.ndarray, suf: np.ndarray):
     inc = pre[u] @ suf[v]
     us, vs = np.flatnonzero(ub_u >= inc), np.flatnonzero(ub_v >= inc)
     kept = suf[vs].T
-    step = max(1, SPLIT_BYTES // 4 // (COUNT_DTYPE.itemsize * len(vs)))
+    step = block_rows(len(vs))
     for i in range(0, len(us), step):
         rows = us[i : i + step]
         yield rows, vs, pre[rows] @ kept

@@ -15,6 +15,10 @@ slow references the new paths must agree with:
   it, with `dense_fold`, that matrix as the trivial fold (t = s = 1) of
   `delcap.baa.ChannelMatrix`, which the folded build on symmetry classes
   replaced (to rounding);
+- `split_counts_solve`, the dense class solve on the `split_counts` blocks,
+  reduced to each class's maximum and argmax set, which
+  `delcap.mdm._solve_class` on each class's `split_tables` below
+  `delcap.mdm.PRUNE_MIN_N` replaced (exactly);
 - `partition_dup_sum_assign_by_length`, the partition enumeration that the
   run-length DP replaced (exactly), and `full_dp_dup_sum_assign_by_length`,
   that DP with its last run length taken as a step like the others, which
@@ -77,8 +81,8 @@ from delcap import (
     runs,
 )
 from delcap.baa import MASS_FLOOR, NEWTON_HALVINGS, NEWTON_SLACK
-from delcap.bitseq import MAX_LEN
-from delcap.patcount import VECTOR_MAX_N
+from delcap.bitseq import MAX_LEN, numeral_text
+from delcap.patcount import VECTOR_MAX_N, split_counts
 
 _FLIP = str.maketrans("01", "10")
 
@@ -278,6 +282,33 @@ def walk_table(n: int, m: int) -> dict[str, tuple[int, str]]:
         counts = prefix_walk_counts(y, n)
         star = BinarySequence.from_numeral(int(counts.argmax()), n)
         out[y.to_string()] = (int(counts.max()), star.to_string())
+    return out
+
+
+def split_counts_solve(reps: list, m: int, n: int) -> list:
+    """(rep, max_count, stars) per rep numeral of length m, as
+    `delcap.mdm._solve_class` returns them with ties, from the dense
+    `split_counts` blocks: each rep's maximum and the set of its
+    maximizers.  stars maps every member g y of the rep's orbit (g the
+    identity, complement, reversal or both, applied to the text) to the
+    smallest of g applied to that set."""
+    best, argmax = [-1] * len(reps), [[] for _ in reps]
+    for first, x0, block in split_counts(reps, m, n):
+        for c, row in enumerate(block, first):
+            top = int(row.max())
+            if top > best[c]:
+                best[c], argmax[c] = top, []
+            if top == best[c]:
+                argmax[c] += (np.flatnonzero(row == top) + x0).tolist()
+    moves = (lambda t: t, flip_text, lambda t: t[::-1], lambda t: flip_text(t[::-1]))
+    out = []
+    for rep, top, xs in zip(reps, best, argmax):
+        texts = [numeral_text(x, n) for x in xs]
+        stars = {
+            int(g(numeral_text(rep, m)) or "0", 2): min(int(g(t) or "0", 2) for t in texts)
+            for g in moves
+        }
+        out.append((rep, top, stars))
     return out
 
 

@@ -39,6 +39,7 @@ from oracle_utils import (
     lambda_run_weight,
     oracle_counts_pairs_split,
     prefix_walk_counts,
+    split_counts_solve,
     text_canonical_form,
     text_dup_estimate,
     walk_table,
@@ -655,6 +656,39 @@ def test_pruned_blocks_stay_within_the_budget(monkeypatch):
     assert mdm_table(16, 8).rows == want
     assert max(rows for rows, _ in shapes) > 1
     assert max(nbytes for _, nbytes in shapes) <= (32 << 8) // 4
+
+
+@pytest.mark.parametrize("n", range(16))
+def test_dense_solve_matches_split_counts_oracle(monkeypatch, n):
+    # every class below PRUNE_MIN_N, whole products and one-row blocks
+    assert n < mdm.PRUNE_MIN_N
+    wants = {m: split_counts_solve(_classes(m)[1], m, n) for m in range(n + 1)}
+    for budget in (patcount.SPLIT_BYTES, 1 << 10):
+        monkeypatch.setattr(patcount, "SPLIT_BYTES", budget)
+        for m, want in wants.items():
+            reps = [rep for rep, _, _ in want]
+            assert _solve_class(reps, m, n, ties=True) == want
+            assert _solve_class(reps, m, n) == [(rep, top, {}) for rep, top, _ in want]
+
+
+def test_dense_blocks_stay_within_the_budget(monkeypatch):
+    blocks, class_blocks = [], mdm._class_blocks
+
+    def recording(reps, m, n):
+        for c, block, us, vs in class_blocks(reps, m, n):
+            assert block.shape == (len(us), len(vs))
+            blocks.append((c, block.nbytes))
+            yield c, block, us, vs
+
+    monkeypatch.setattr(mdm, "_class_blocks", recording)
+    for n in range(mdm.PRUNE_MIN_N):
+        for m in {0, n // 2, n}:
+            blocks.clear()
+            reps = _classes(m)[1]
+            _solve_class(reps, m, n, ties=True)
+            assert max(nbytes for _, nbytes in blocks) <= patcount.SPLIT_BYTES // 4
+            # a whole product up to n = 14, two halves of its rows at n = 15
+            assert [c for c, _ in blocks] == [c for c in range(len(reps)) for _ in range(1 + (n == 15))]
 
 
 def test_pruned_path_matches_walk_oracle(monkeypatch):
