@@ -5,8 +5,9 @@ and the uniform start and every update are invariant under them, so the
 iteration runs exactly on class masses P over the folded matrix w of
 `build_channel_matrix`, about 2^n/4 input by 2^(n+1)/4 output classes.  It
 reports the per-symbol capacity proxy with its convergence bracket, the KKT
-residual of the final distribution, and the additive sandwich that pins the
-true capacity under the proxy.  The update P exp(mu D) / sum is
+residual of the final distribution, and the additive sandwich around the
+proxy, whose lower edge always holds and whose upper edge, the proxy, holds
+only to within the closed bracket.  The update P exp(mu D) / sum is
 over-relaxed by a scalar mu <= 2 from the last two brackets (see
 `baa_capacity`), which about halves the iterations; such an iteration
 costs two np.dot products, P w and w (t ln q), and allocates nothing.
@@ -324,10 +325,13 @@ def kkt_residual(w: ChannelMatrix, p: np.ndarray) -> float:
 
 
 def dobrushin_sandwich(n: int, c_n: float) -> tuple[float, float]:
-    """(c_n - log2(n+1)/n, c_n): the true capacity sits inside this interval.
+    """(c_n - log2(n+1)/n, c_n): the true capacity lies inside for c_n = C_n/n.
 
-    The lower edge can go negative at small n, in which case it is vacuous
-    but still reported as is.
+    For the proxy I(p)/n <= C_n/n that `baa_capacity` passes, the lower edge
+    always holds and the upper edge only to within the closed bracket, when
+    converged=yes; unconverged, the bracket top is the upper edge (0.115386
+    at (9, 0.8), against the proxy's 0.113686).  The lower edge can go
+    negative at small n, in which case it is vacuous but still reported.
     """
     if c_n < 0.0:
         raise ValueError("capacity proxy must be non-negative")

@@ -1,18 +1,15 @@
 """Maximum deletion matching: exhaustive search and duplication estimates.
 
 For a fixed output y and input length n, the search finds
-max over x in {0,1}^n of #(x, y) by sweeping the whole input space with the
-split pattern-count kernel, one chunk of symmetry classes per table batch.
+max over x in {0,1}^n of #(x, y) by reducing the blocks of input numerals
+and counts that `patcount.class_blocks` yields, one chunk of symmetry
+classes per table batch; the blocks hold every maximizer, so every
+smallest-numeral tie-break is settled once per chunk of classes.
 Pattern counts are the same on every member of an orbit under complement
 and reversal, so one sweep over all y in {0,1}^m maps each y's numeral to
 its orbit's smallest numeral, the class rep, and only reps are solved.
-Each class's counts come from its split tables (`patcount.split_tables`):
-below PRUNE_MIN_N as their dense product, in row blocks; from it on only
-the rows and columns of that product that can hold the maximum are
-multiplied out (`patcount.pruned_blocks`), which keeps every maximizer
-and so every smallest-numeral tie-break, settled once per chunk of
-classes.  Outputs, reps, maximizers and candidates stay numerals
-in `MdmTable`'s columns; only the checkpoint and CSV writers make text.
+Outputs, reps, maximizers and candidates stay numerals in `MdmTable`'s
+columns; only the checkpoint and CSV writers make text.
 The duplication estimate replaces the true maximizer with a candidate
 that stretches every run of y: `_dup_rows` builds it as a numeral for all
 y of one length at once and takes its count as a product of one weight
@@ -40,16 +37,11 @@ import numpy as np
 
 from .bitseq import MAX_LEN, BinarySequence, CapExceededError, numeral_text, runs
 from .dupsum import DupApproach, _run_weights
-from .patcount import VECTOR_MAX_N, block_rows, count_deletion_patterns, pruned_blocks
-from .patcount import split_batch, split_tables
+from .patcount import VECTOR_MAX_N, class_blocks, count_deletion_patterns, split_batch
 from .patcount import counts_for_all_inputs  # noqa: F401  (the benchmark tracer wraps this name)
 
 if TYPE_CHECKING:
     from fractions import Fraction
-
-
-# First n whose classes take the pruned product; README has the measured trade-off.
-PRUNE_MIN_N = 16
 
 
 @dataclass(frozen=True)
@@ -236,37 +228,14 @@ def _map_classes(reps: list, m: int, n: int, threads: int, ties: bool = False):
             yield from solved
 
 
-def _class_blocks(reps: list, m: int, n: int):
-    """(c, block, us, vs) per block of the counts of reps[c]: block[i, j]
-    is the count of input us[i] * 2^b + vs[j], b = n - n // 2.
-
-    Both paths take each class's `split_tables` pre and suf.  Below
-    PRUNE_MIN_N the blocks are the dense product pre @ suf^T in rows u
-    that fit the last quarter of SPLIT_BYTES (`block_rows`: the whole
-    product up to n = 14, two halves at n = 15); from it on, the
-    `pruned_blocks`, which hold every maximizer of the class and skip the
-    rows and columns that cannot.
-    """
-    a, b = n // 2, n - n // 2
-    us, vs = np.arange(1 << a), np.arange(1 << b)
-    step = block_rows(1 << b)
-    for first, pre, suf in split_tables(reps, m, n):
-        for c, (p, s) in enumerate(zip(pre, suf), first):
-            if n < PRUNE_MIN_N:
-                for u in range(0, len(p), step):
-                    yield c, p[u : u + step] @ s.T, us[u : u + step], vs
-            else:
-                for rows, cols, block in pruned_blocks(p, s):
-                    yield c, block, rows, cols
-
-
 def _solve_class(reps: list, m: int, n: int, ties: bool = False) -> list[tuple[int, int, dict]]:
     """Solve a chunk of symmetry classes of one output length m: one
     (rep, max_count, stars) per rep numeral, in order.
 
-    The chunk's split tables are built once; each class's counts arrive in
-    blocks that are reduced to the running maximum.  With ties stars maps
-    every orbit member's numeral to the numeral of its smallest maximizer.
+    Each class's counts arrive in the blocks of `class_blocks`, entry
+    (i, j) the count of input rows[i] | cols[j], and are reduced to the
+    running maximum.  With ties stars maps every orbit member's numeral to
+    the numeral of its smallest maximizer.
     Complement and reversal g keep #(g x, g y) = #(x, y), so the maximizer
     set of member g y is g applied to the rep's: `_orbit` of the rep's
     argmax numerals lists those sets in the order `_orbit` of the rep lists
@@ -276,14 +245,13 @@ def _solve_class(reps: list, m: int, n: int, ties: bool = False) -> list[tuple[i
     """
     best = [-1] * len(reps)
     picks: list = [[] for _ in reps]
-    b = n - n // 2
-    for c, block, us, vs in _class_blocks(reps, m, n):
+    for c, block, rows, cols in class_blocks(reps, m, n):
         top = int(block.max())
         if top < best[c]:
             continue
         if ties:
             at = np.flatnonzero(block == top)
-            found = us[at // len(vs)] << b | vs[at % len(vs)]
+            found = rows[at // len(cols)] | cols[at % len(cols)]
             picks[c] = (picks[c] if top == best[c] else []) + [found]
         best[c] = top
     if not ties or not reps:

@@ -12,10 +12,11 @@ starts from a gather out of a cached table of the counts of every input of
 its first TABLE_LEN symbols (`_count_table`, 128 KiB per process) and steps
 only the symbols past them.
 `split_counts` takes that product whole, in blocks within a byte budget,
-for the channel matrix and `counts_for_all_inputs`; the class solve takes
-each output's tables itself and multiplies them out in row blocks
-(`block_rows`) or, with `pruned_blocks`, only the rows and columns that
-can hold its maximum.
+for the channel matrix and `counts_for_all_inputs`; `class_blocks`, for
+the class solve, multiplies each output's tables out in row blocks
+(`block_rows`) below PRUNE_MIN_N and from it on, with `pruned_blocks`,
+only the rows and columns that can hold its maximum, and names each
+block's inputs by numeral.
 Tables, products and bounds are integers of at most C(n, m) < 2^24 for
 n <= VECTOR_MAX_N, so they stay in float32, exactly, from the walk to the
 product.
@@ -45,6 +46,9 @@ COUNT_DTYPE = np.dtype(np.float32)
 
 # Working set of one split kernel call: tables in 3/4, a product block in 1/4.
 SPLIT_BYTES = 1 << 18
+
+# First n whose classes take the pruned product; README has the measured trade-off.
+PRUNE_MIN_N = 16
 
 # Every walk starts from a cached count table of all inputs of its first
 # TABLE_LEN symbols, 4 * 2^L * 2^(L+1) bytes at L symbols: TABLE_LEN is the
@@ -319,6 +323,30 @@ def pruned_blocks(pre: np.ndarray, suf: np.ndarray):
     for i in range(0, len(us), step):
         rows = us[i : i + step]
         yield rows, vs, pre[rows] @ kept
+
+
+def class_blocks(reps, m: int, n: int):
+    """(c, block, rows, cols) per block of the counts of the length-m output
+    reps[c], in order of c: block[i, j] = #(rows[i] | cols[j], reps[c]), rows
+    the numerals u * 2^b and cols the v of the split x = u v of `split_tables`.
+
+    Below PRUNE_MIN_N the blocks are the dense product pre @ suf^T in rows u
+    that fit the last quarter of SPLIT_BYTES (`block_rows`: the whole
+    product up to n = 14, two halves at n = 15) and tile {0,1}^n once; from
+    it on, the `pruned_blocks`, which hold every maximizer of the output and
+    skip the rows and columns that cannot.
+    """
+    a, b = n // 2, n - n // 2
+    us, vs = np.arange(1 << a) << b, np.arange(1 << b)
+    step = block_rows(1 << b)
+    for first, pre, suf in split_tables(reps, m, n):
+        for c, (p, s) in enumerate(zip(pre, suf), first):
+            if n < PRUNE_MIN_N:
+                for u in range(0, len(p), step):
+                    yield c, p[u : u + step] @ s.T, us[u : u + step], vs
+            else:
+                for rows, cols, block in pruned_blocks(p, s):
+                    yield c, block, rows << b, cols
 
 
 def counts_for_all_inputs(y: BinarySequence, n: int) -> np.ndarray:

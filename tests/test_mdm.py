@@ -110,15 +110,15 @@ def test_tie_breaks_settled_across_kept_row_blocks(monkeypatch, n):
     # default budget only m = 0, where every input is a maximizer; with
     # blocks of a few rows, classes of m = 3, 5 and 8 too.  The smallest
     # maximizer of every member, taken once per chunk, is the walk's argmax
-    tops = []
+    tops, pruned_blocks = [], patcount.pruned_blocks
 
     def recording(pre, suf):
         tops.append([])
-        for us, vs, block in patcount.pruned_blocks(pre, suf):
+        for us, vs, block in pruned_blocks(pre, suf):
             tops[-1].append(int(block.max()))
             yield us, vs, block
 
-    monkeypatch.setattr(mdm, "pruned_blocks", recording)
+    monkeypatch.setattr(patcount, "pruned_blocks", recording)
     split = []
     for budget, lengths in ((patcount.SPLIT_BYTES, [0]), (32 << 8, [3, 5, 8])):
         monkeypatch.setattr(patcount, "SPLIT_BYTES", budget)
@@ -597,9 +597,9 @@ def test_pooled_table_and_resume_match_walk_oracle(tmp_path, n, m):
 
 
 def _dense_and_pruned(monkeypatch, reps, m, n, ties=True):
-    monkeypatch.setattr(mdm, "PRUNE_MIN_N", n + 1)
+    monkeypatch.setattr(patcount, "PRUNE_MIN_N", n + 1)
     dense = _solve_class(reps, m, n, ties)
-    monkeypatch.setattr(mdm, "PRUNE_MIN_N", n)
+    monkeypatch.setattr(patcount, "PRUNE_MIN_N", n)
     return dense, _solve_class(reps, m, n, ties)
 
 
@@ -636,15 +636,15 @@ def test_largest_count_at_the_cap_is_exact_on_both_paths(monkeypatch):
 
 def test_pruned_blocks_stay_within_the_budget(monkeypatch):
     want = mdm_table(16, 8).rows
-    shapes = []
+    shapes, pruned_blocks = [], patcount.pruned_blocks
 
     def recording(pre, suf):
-        for us, vs, block in patcount.pruned_blocks(pre, suf):
+        for us, vs, block in pruned_blocks(pre, suf):
             assert block.shape == (len(us), len(vs))
             shapes.append((block.shape[0], block.nbytes))
             yield us, vs, block
 
-    monkeypatch.setattr(mdm, "pruned_blocks", recording)
+    monkeypatch.setattr(patcount, "pruned_blocks", recording)
     # with no budget every kept product goes one row at a time; at
     # 32 * 2^b bytes a quarter holds a whole row of 2^b columns, so blocks
     # take several rows and still fit it
@@ -661,7 +661,7 @@ def test_pruned_blocks_stay_within_the_budget(monkeypatch):
 @pytest.mark.parametrize("n", range(16))
 def test_dense_solve_matches_split_counts_oracle(monkeypatch, n):
     # every class below PRUNE_MIN_N, whole products and one-row blocks
-    assert n < mdm.PRUNE_MIN_N
+    assert n < patcount.PRUNE_MIN_N
     wants = {m: split_counts_solve(_classes(m)[1], m, n) for m in range(n + 1)}
     for budget in (patcount.SPLIT_BYTES, 1 << 10):
         monkeypatch.setattr(patcount, "SPLIT_BYTES", budget)
@@ -672,7 +672,7 @@ def test_dense_solve_matches_split_counts_oracle(monkeypatch, n):
 
 
 def test_dense_blocks_stay_within_the_budget(monkeypatch):
-    blocks, class_blocks = [], mdm._class_blocks
+    blocks, class_blocks = [], mdm.class_blocks
 
     def recording(reps, m, n):
         for c, block, us, vs in class_blocks(reps, m, n):
@@ -680,8 +680,8 @@ def test_dense_blocks_stay_within_the_budget(monkeypatch):
             blocks.append((c, block.nbytes))
             yield c, block, us, vs
 
-    monkeypatch.setattr(mdm, "_class_blocks", recording)
-    for n in range(mdm.PRUNE_MIN_N):
+    monkeypatch.setattr(mdm, "class_blocks", recording)
+    for n in range(patcount.PRUNE_MIN_N):
         for m in {0, n // 2, n}:
             blocks.clear()
             reps = _classes(m)[1]
@@ -693,7 +693,7 @@ def test_dense_blocks_stay_within_the_budget(monkeypatch):
 
 def test_pruned_path_matches_walk_oracle(monkeypatch):
     # the dense-path oracle tests again, every class through the pruned product
-    monkeypatch.setattr(mdm, "PRUNE_MIN_N", 0)
+    monkeypatch.setattr(patcount, "PRUNE_MIN_N", 0)
     test_sum_max_counts_and_table_match_walk_oracle()
     test_table_matches_walk_oracle_across_row_blocks(monkeypatch)
 
@@ -701,7 +701,7 @@ def test_pruned_path_matches_walk_oracle(monkeypatch):
 @pytest.mark.parametrize("n, m", [(1, 1), (6, 0), (9, 4), (12, 6), (12, 11)])
 def test_pooled_pruned_table_and_resume_match_walk_oracle(monkeypatch, tmp_path, n, m):
     # forked pool workers inherit the lowered crossover
-    monkeypatch.setattr(mdm, "PRUNE_MIN_N", 0)
+    monkeypatch.setattr(patcount, "PRUNE_MIN_N", 0)
     test_pooled_table_and_resume_match_walk_oracle(tmp_path, n, m)
 
 
