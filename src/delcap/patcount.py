@@ -7,19 +7,20 @@ subsequence of x.  The scalar routines return exact Python ints.  The
 all-inputs kernel takes outputs as numerals and splits every input at the
 middle: `split_tables` walks the scalar DP over all half-length prefixes
 and, from the last symbol, all half-length suffixes of x, and the counts of
-all 2^n inputs are one product of the two tables per output.  Each walk
-starts from a gather out of a cached table of the counts of every input of
-its first TABLE_LEN symbols (`_count_table`, 128 KiB per process) and steps
-only the symbols past them.
+all 2^n inputs are one product of the two tables per output.  The tables
+stay band-major, pre[i, j, u] = #(u, y[:lo + j]) and
+suf[i, j, v] = #(v, y[lo + j:]), from the walk to that product
+pre[i].T @ suf[i], with no copy.  Each walk starts from a gather out of a
+cached table of the counts of every input of its first TABLE_LEN symbols
+(`_count_table`, 128 KiB per process) and steps only the symbols past them.
 `split_counts` takes that product whole, in blocks within a byte budget,
-for the channel matrix and `counts_for_all_inputs`; `class_blocks`, for
-the class solve, multiplies each output's tables out in row blocks
-(`block_rows`) below PRUNE_MIN_N and from it on, with `pruned_blocks`,
-only the rows and columns that can hold its maximum, and names each
-block's inputs by numeral.
-Tables, products and bounds are integers of at most C(n, m) < 2^24 for
-n <= VECTOR_MAX_N, so they stay in float32, exactly, from the walk to the
-product.
+for the channel matrix and `counts_for_all_inputs`; `class_blocks`, for the
+class solve, multiplies each output's tables out in row blocks
+(`block_rows`) below PRUNE_MIN_N and from it on, with `pruned_blocks`, only
+the rows and columns that can hold its maximum, and names each block's
+inputs by numeral.  Tables, products and bounds are integers of at most
+C(n, m) < 2^24 for n <= VECTOR_MAX_N, so they stay in float32, exactly,
+from the walk to the product.
 
 Two independent routes are provided on purpose: a prefix dynamic program
 (`count_deletion_patterns`) and a brute-force enumerator over kept-position
@@ -126,7 +127,7 @@ def _count_table(length: int) -> np.ndarray:
 
 
 def _walk(sym: np.ndarray, length: int, rows: int, append: bool) -> np.ndarray:
-    """T[w, c, k] = #(x, y_c[:k]) for every length-symbol input x and k < rows.
+    """T[c, k, w] = #(x, y_c[:k]) for every length-symbol input x and k < rows.
 
     sym[c] holds the symbols of y_c.  The walk runs the scalar DP over all
     inputs at once, one level per input symbol: a child's row k is its
@@ -143,11 +144,11 @@ def _walk(sym: np.ndarray, length: int, rows: int, append: bool) -> np.ndarray:
     lane, is below the 6 of a level; at start = 0 it is row 0 = 1.  A walk
     of at most TABLE_LEN symbols is that gather alone.
 
-    The rows of every output sit side by side in one contiguous lane, so a
-    level is three whole-array operations on the lanes; shifting a lane by
-    one row also moves one output's last row into the next one's row 0,
-    which row 0's zero growth cancels.  Entries are at most C(length, k)
-    <= 2^length, exact in float32 for length <= 24.
+    The rows of every output follow one another along axis 0, so a level
+    is three operations on whole 2-D views per new symbol; shifting by one
+    row along axis 0 also moves one output's last row into the next one's
+    row 0, which row 0's zero growth cancels.  Entries are at most
+    C(length, k) <= 2^length, exact in float32 for length <= 24.
     """
     count = sym.shape[0]
     lane = count * rows
@@ -163,26 +164,24 @@ def _walk(sym: np.ndarray, length: int, rows: int, append: bool) -> np.ndarray:
     cols[:, 1 : known + 1] = np.cumsum((1 + sym[:, :known]) << shift, axis=1)
     if append:
         cols[:, 1 : known + 1] >>= shift
-    state = table.T[cols.ravel()].T
+    state = table.T[cols]
     if start == length:
-        return state.reshape(-1, count, rows)
-    # grow[b, c, k] = 1 where y_c[k-1] == b; row 0 (empty prefix of y) never grows
-    grow = np.zeros((2, count, rows), dtype=COUNT_DTYPE)
-    grow[1, :, 1:] = sym[:, : rows - 1]
-    grow[0, :, 1:] = 1 - sym[:, : rows - 1]
-    grow = grow.reshape(2, lane)[:, 1:]
+        return state
+    # grow[c, k, b] = 1 where y_c[k-1] == b; row 0 (empty prefix of y) never grows
+    grow = np.zeros((count, rows, 2), dtype=COUNT_DTYPE)
+    grow[:, 1:] = sym[:, : rows - 1, None] == [0, 1]
+    grow = grow.reshape(lane, 2)[1:]
+    state = state.reshape(lane, -1)
     for j in range(start, length):
-        if append:  # child numeral 2 * w + b
-            children = np.empty((1 << j, 2, lane), dtype=COUNT_DTYPE)
-            old, match = state[:, None], grow[None]
-        else:  # child numeral b * 2^j + w
-            children = np.empty((2, 1 << j, lane), dtype=COUNT_DTYPE)
-            old, match = state[None], grow[:, None]
-        np.multiply(match, old[..., :-1], out=children[..., 1:])
-        children[..., 1:] += old[..., 1:]
-        children[..., 0] = old[..., 0]
-        state = children.reshape(2 << j, lane)
-    return state.reshape(-1, count, rows)
+        # child numeral 2 * w + b with append, b * 2^j + w without
+        children = np.empty((lane, 1 << j, 2) if append else (lane, 2, 1 << j), dtype=COUNT_DTYPE)
+        for b in range(2):
+            child = children[:, :, b] if append else children[:, b]
+            np.multiply(grow[:, b : b + 1], state[:-1], out=child[1:])
+            child[1:] += state[1:]
+            child[0] = state[0]
+        state = children.reshape(lane, 2 << j)
+    return state.reshape(count, rows, -1)
 
 
 def block_rows(width: int) -> int:
@@ -196,11 +195,11 @@ def split_batch(n: int, m: int) -> int:
 
     Both walks keep at most R = min(m, n - n//2) + 1 rows of float32.  A
     walk's last level holds its parent level and its children, 6R bytes per
-    lane, and its float32 band copy comes after the parent level is freed,
-    so the children and the copy, 8R bytes per lane of both tables, bound
-    one output's peak.  A walk's start state, gathered from the cached count
-    table, holds 4R bytes per lane, under the 6R already charged; the cached
-    table itself is not charged.
+    lane, and the tables are views of the children; each output is charged
+    8R bytes per lane of both tables all the same, which keeps the batch
+    sizes measured before the tables became views.  A walk's start state,
+    gathered from the cached count table, holds 4R bytes per lane, under
+    the 6R charged; the cached table itself is not charged.
     """
     a, b = n // 2, n - n // 2
     table_bytes = 2 * COUNT_DTYPE.itemsize * (min(m, b) + 1) * ((1 << a) + (1 << b))
@@ -212,10 +211,10 @@ def split_tables(ys, m: int, n: int):
 
     ys holds the numerals of length-m outputs (a list, a range or an int
     array).  Returns an iterator of (first, pre, suf), one per batch of
-    `split_batch(n, m)` outputs, with pre[i, u, j] = #(u, y[:lo + j]) and
-    suf[i, v, j] = #(v, y[lo + j:]) for y = ys[first + i], as exact
-    COUNT_DTYPE integers of shapes (count, 2^a, band) and (count, 2^b,
-    band), C-contiguous.
+    `split_batch(n, m)` outputs, with pre[i, j, u] = #(u, y[:lo + j]) and
+    suf[i, j, v] = #(v, y[lo + j:]) for y = ys[first + i], as exact
+    COUNT_DTYPE integers of shapes (count, band, 2^a) and (count, band,
+    2^b): band-major views of the walks, the input numeral contiguous.
 
     Split x = u v with u its a = floor(n/2) leading and v its b = n - a
     trailing symbols.  A deletion pattern of x splits into one of u and one
@@ -225,7 +224,7 @@ def split_tables(ys, m: int, n: int):
     k in [lo, hi] = [max(0, m - b), min(a, m)] can contribute.  The prefix
     table comes from a walk over u's symbols; the suffix table from the same
     walk run over y and v from their last symbols.  Both are indexed by
-    numeral, so the counts of every x = u * 2^b + v are pre[i] @ suf[i]^T.
+    numeral, so the counts of every x = u * 2^b + v are pre[i].T @ suf[i].
     A batch's tables and walk temporaries fit three quarters of
     SPLIT_BYTES; an output whose tables alone exceed that still makes a
     batch of one.
@@ -244,13 +243,11 @@ def _walk_tables(ys, m: int, n: int):
     size = split_batch(n, m)
     for first in range(0, len(ys), size):
         sym = (np.asarray(ys[first : first + size], dtype=np.int64)[:, None] >> shifts) & 1
-        pre = _walk(sym, a, hi + 1, append=True)[:, :, lo:]
-        pre = np.ascontiguousarray(pre.transpose(1, 0, 2))
+        pre = _walk(sym, a, hi + 1, append=True)[:, lo:]
         # the suffix walk runs over y and v from their last symbols, so its
         # lanes are v and its row t counts y's last t symbols: row m - k
         # pairs with prefix row k
-        suf = _walk(sym[:, ::-1], b, m - lo + 1, append=False)[:, :, m - hi :][:, :, ::-1]
-        suf = np.ascontiguousarray(suf.transpose(1, 0, 2))
+        suf = _walk(sym[:, ::-1], b, m - lo + 1, append=False)[:, m - hi :][:, ::-1]
         yield first, pre, suf
 
 
@@ -261,7 +258,7 @@ def split_counts(ys, m: int, n: int):
     array).  Returns an iterator of (first, x0, block) with
     block[i, r] = #(x0 + r, ys[first + i]) as exact COUNT_DTYPE integers;
     the blocks cover every (y, x) pair once, in order of y and then of x.
-    They are the dense products pre @ suf^T of the `split_tables`.
+    They are the dense products pre^T @ suf of the `split_tables`.
 
     That product is exact in float32 whatever order the sums take: every
     term and every partial sum is a non-negative integer at most the full
@@ -284,7 +281,7 @@ def _split_blocks(tables, n: int):
     outs, step = block_rows(1 << n), block_rows(1 << b)
     for first, pre, suf in tables:
         # per output: (2^a, band) @ (band, 2^b), rows u and columns v
-        suf = suf.transpose(0, 2, 1)
+        pre = pre.transpose(0, 2, 1)
         for c in range(0, len(pre), outs):
             for u in range(0, pre.shape[1], step):
                 block = np.matmul(pre[c : c + outs, u : u + step], suf[c : c + outs])
@@ -292,16 +289,17 @@ def _split_blocks(tables, n: int):
 
 
 def pruned_blocks(pre: np.ndarray, suf: np.ndarray):
-    """Blocks of one output's product pre @ suf^T that hold every maximal entry.
+    """Blocks of one output's product pre^T @ suf that hold every maximal entry.
 
-    pre and suf are one output's `split_tables`.  Returns an iterator of
-    (us, vs, pre[us] @ suf[vs]^T), in order of u.  As in the split search
-    of Horowitz and Sahni, no entry of row u exceeds
-    ub_u[u] = pre[u] . max_v suf[v] (the maximum taken per band column),
-    none of column v exceeds ub_v[v] = suf[v] . max_u pre[u], and an
-    incumbent entry inc, from three rounds of alternating row and column
-    argmax, is at most the maximum.  The rows and columns with bound >= inc
-    are kept, so every maximizing (u, v) survives, ties included.
+    pre[j, u] and suf[j, v] are one output's band-major `split_tables`.
+    Returns an iterator of (us, vs, pre[:, us]^T @ suf[:, vs]), in order of
+    u.  As in the split search of Horowitz and Sahni, no entry of row u
+    exceeds ub_u[u] = pre[:, u] . max_v suf[:, v] (the maximum taken per
+    band row), none of column v exceeds ub_v[v] = suf[:, v] . max_u
+    pre[:, u], and an incumbent entry inc, from three rounds of alternating
+    row and column argmax, is at most the maximum.  The rows and columns
+    with bound >= inc are kept, so every maximizing (u, v) survives, ties
+    included.
 
     Every entry, bound and partial sum is a non-negative integer at most
     C(n, m) (the Vandermonde bound of `split_counts`; a bound's terms are at
@@ -310,19 +308,19 @@ def pruned_blocks(pre: np.ndarray, suf: np.ndarray):
     whenever one kept row does, as a row of all 2^b columns always does at
     the default budget for n <= VECTOR_MAX_N.
     """
-    ub_u = pre @ suf.max(axis=0)
-    ub_v = suf @ pre.max(axis=0)
+    ub_u = suf.max(axis=1) @ pre
+    ub_v = pre.max(axis=1) @ suf
     u = ub_u.argmax()
     for _ in range(3):
-        v = (suf @ pre[u]).argmax()
-        u = (pre @ suf[v]).argmax()
-    inc = pre[u] @ suf[v]
+        v = (pre[:, u] @ suf).argmax()
+        u = (suf[:, v] @ pre).argmax()
+    inc = pre[:, u] @ suf[:, v]
     us, vs = np.flatnonzero(ub_u >= inc), np.flatnonzero(ub_v >= inc)
-    kept = suf[vs].T
+    kept = suf[:, vs]
     step = block_rows(len(vs))
     for i in range(0, len(us), step):
         rows = us[i : i + step]
-        yield rows, vs, pre[rows] @ kept
+        yield rows, vs, pre[:, rows].T @ kept
 
 
 def class_blocks(reps, m: int, n: int):
@@ -330,7 +328,7 @@ def class_blocks(reps, m: int, n: int):
     reps[c], in order of c: block[i, j] = #(rows[i] | cols[j], reps[c]), rows
     the numerals u * 2^b and cols the v of the split x = u v of `split_tables`.
 
-    Below PRUNE_MIN_N the blocks are the dense product pre @ suf^T in rows u
+    Below PRUNE_MIN_N the blocks are the dense product pre^T @ suf in rows u
     that fit the last quarter of SPLIT_BYTES (`block_rows`: the whole
     product up to n = 14, two halves at n = 15) and tile {0,1}^n once; from
     it on, the `pruned_blocks`, which hold every maximizer of the output and
@@ -342,8 +340,8 @@ def class_blocks(reps, m: int, n: int):
     for first, pre, suf in split_tables(reps, m, n):
         for c, (p, s) in enumerate(zip(pre, suf), first):
             if n < PRUNE_MIN_N:
-                for u in range(0, len(p), step):
-                    yield c, p[u : u + step] @ s.T, us[u : u + step], vs
+                for u in range(0, p.shape[1], step):
+                    yield c, p[:, u : u + step].T @ s, us[u : u + step], vs
             else:
                 for rows, cols, block in pruned_blocks(p, s):
                     yield c, block, rows << b, cols

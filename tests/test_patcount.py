@@ -1,8 +1,10 @@
 """Tests for deletion-pattern counting: the DP route against enumeration."""
 
+import functools
 import hashlib
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -261,6 +263,65 @@ def test_table_start_matches_the_full_walk_sampled(monkeypatch, n):
     for m in (0, 1, patcount.TABLE_LEN, n // 2, n // 2 + 1, n - 1, n):
         ys = sorted(rng.sample(range(1 << m), min(1 << m, 40)))
         _assert_table_start_changes_nothing(monkeypatch, ys, m, n)
+
+
+@functools.cache
+def _scalar_count(w, length, z, k):
+    return count_deletion_patterns(BinarySequence(w, length), BinarySequence(z, k))
+
+
+def _assert_tables_match_scalar_dp(ys, m, n):
+    # every entry at its documented index: pre[i, j, u] = #(u, y[:lo + j])
+    # and suf[i, j, v] = #(v, y[lo + j:]), y = ys[first + i]
+    a, b = n // 2, n - n // 2
+    lo, hi = max(0, m - b), min(a, m)
+    seen = 0
+    for first, pre, suf in patcount.split_tables(ys, m, n):
+        assert first == seen and pre.dtype == suf.dtype == patcount.COUNT_DTYPE
+        assert pre.shape == (len(pre), hi - lo + 1, 2**a) and suf.shape == (len(pre), hi - lo + 1, 2**b)
+        for i, (p, s) in enumerate(zip(pre, suf)):
+            y = int(ys[first + i])
+            for j in range(hi - lo + 1):
+                k = lo + j
+                head, tail = y >> (m - k), y & ((1 << (m - k)) - 1)
+                assert p[j].tolist() == [_scalar_count(u, a, head, k) for u in range(2**a)], (n, m, y, j)
+                assert s[j].tolist() == [_scalar_count(v, b, tail, m - k) for v in range(2**b)], (n, m, y, j)
+        seen += len(pre)
+    assert seen == len(ys)
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_split_tables_match_scalar_dp_exhaustive(n):
+    for m in range(n + 1):
+        _assert_tables_match_scalar_dp(range(1 << m), m, n)
+
+
+# a != b, and both walks step past TABLE_LEN at n = 17, only the suffix
+# walk at n = 15
+@pytest.mark.parametrize("n", [15, 17])
+def test_split_tables_match_scalar_dp_sampled(n):
+    rng = random.Random(n)
+    for m in (0, 1, patcount.TABLE_LEN, n // 2, n // 2 + 1, n - 1, n):
+        _assert_tables_match_scalar_dp(sorted(rng.sample(range(1 << m), min(1 << m, 3))), m, n)
+
+
+@pytest.mark.parametrize("n", [14, 18, 20, 22])
+def test_split_tables_batch_stays_within_its_charge(n):
+    # one batch drained under tracemalloc peaks at no more than split_batch
+    # charges it: 8R bytes per lane of both tables per output, R rows
+    m = n // 2
+    a, b = n // 2, n - n // 2
+    charge = 8 * (min(m, b) + 1) * (2**a + 2**b)
+    ys = range(patcount.split_batch(n, m))
+    patcount._count_table(patcount.TABLE_LEN)  # cached per process, not charged
+    tracemalloc.start()
+    try:
+        for _ in patcount.split_tables(ys, m, n):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= len(ys) * charge, (n, peak, len(ys) * charge)
 
 
 def test_count_table_matches_scalar_dp():
