@@ -15,6 +15,7 @@ import argparse
 import csv
 import functools
 import math
+import os
 import sys
 import warnings
 from typing import Optional
@@ -152,6 +153,12 @@ def _bdc_point(token: str, d: float, args, cache: dict):
 
 def cmd_bounds(args) -> int:
     grid = _parse_grid(args.d_grid)
+    # the script names the path by the bytes the file system gets, in a
+    # gnuplot single-quoted string ('' for a quote, no other escape): a
+    # control byte would end its command, so it fails before any work
+    raw = os.fsencode(args.output).decode("latin-1")
+    if args.gnuplot and any(c < " " or c == "\x7f" for c in raw):
+        raise ValueError(f"--gnuplot cannot name a path with a control character: {args.output!r}")
     closed = {"bec": bec_bound, "bsc": bsc_bound}.get(args.channel)
     if closed:
         label = f"{args.channel}_closed"
@@ -181,8 +188,9 @@ def cmd_bounds(args) -> int:
     _write_csv(args.output, ["d", "kind", "n", "value"], rows)
     if args.gnuplot:
         labels = dict.fromkeys(label for _, label, _, _ in rows)
+        quoted = raw.replace("'", "''")
         script = [
-            f"# plot script for {args.output}",
+            f"# plot script for {raw}",
             "set datafile separator ','",
             "set xlabel 'd'",
             "set ylabel 'bits per symbol'",
@@ -190,12 +198,13 @@ def cmd_bounds(args) -> int:
             "plot \\",
         ]
         plot_parts = [
-            f"  '{args.output}' using 1:(strcol(2) eq '{label}' ? column(4) : NaN) "
+            f"  '{quoted}' using 1:(strcol(2) eq '{label}' ? column(4) : NaN) "
             f"with lines title '{label}'"
             for label in labels
         ]
         script.append(", \\\n".join(plot_parts))
-        with _open_out(args.output + ".gp") as fh:
+        # latin-1 writes each byte of the path back as it is
+        with open(args.output + ".gp", "w", encoding="latin-1", newline="") as fh:
             fh.write("\n".join(script) + "\n")
     return 0
 

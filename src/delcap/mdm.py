@@ -3,8 +3,9 @@
 For a fixed output y and input length n, the search finds
 max over x in {0,1}^n of #(x, y) by reducing the blocks of input numerals
 and counts that `patcount.class_blocks` yields, one chunk of symmetry
-classes per table batch; the blocks hold every maximizer, so every
-smallest-numeral tie-break is settled once per chunk of classes.
+classes per table batch, with array operations over all the classes of a
+block; the blocks hold every maximizer, so every smallest-numeral
+tie-break is settled once per chunk of classes.
 Pattern counts are the same on every member of an orbit under complement
 and reversal, so one sweep over all y in {0,1}^m maps each y's numeral to
 its orbit's smallest numeral, the class rep, and only reps are solved.
@@ -232,10 +233,12 @@ def _solve_class(reps: list, m: int, n: int, ties: bool = False) -> list[tuple[i
     """Solve a chunk of symmetry classes of one output length m: one
     (rep, max_count, stars) per rep numeral, in order.
 
-    Each class's counts arrive in the blocks of `class_blocks`, entry
-    (i, j) the count of input rows[i] | cols[j], and are reduced to the
-    running maximum.  With ties stars maps every orbit member's numeral to
-    the numeral of its smallest maximizer.
+    The counts arrive in the blocks of `class_blocks`, entry (k, i, j) the
+    count of input rows[k, i] | cols[j] for class cs[k], and each block's
+    top per class goes into that class's running maximum.  With ties the
+    numerals at a top that reaches the running one are kept, and a higher
+    top drops what the class held; stars maps every orbit member's numeral
+    to the numeral of its smallest maximizer.
     Complement and reversal g keep #(g x, g y) = #(x, y), so the maximizer
     set of member g y is g applied to the rep's: `_orbit` of the rep's
     argmax numerals lists those sets in the order `_orbit` of the rep lists
@@ -245,15 +248,20 @@ def _solve_class(reps: list, m: int, n: int, ties: bool = False) -> list[tuple[i
     """
     best = [-1] * len(reps)
     picks: list = [[] for _ in reps]
-    for c, block, rows, cols in class_blocks(reps, m, n):
-        top = int(block.max())
-        if top < best[c]:
-            continue
+    for cs, block, rows, cols in class_blocks(reps, m, n):
+        tops = block.reshape(len(cs), -1).max(axis=1).tolist()
         if ties:
-            at = np.flatnonzero(block == top)
-            found = rows[at // len(cols)] | cols[at % len(cols)]
-            picks[c] = (picks[c] if top == best[c] else []) + [found]
-        best[c] = top
+            # each class's numerals at its top where that reaches its running
+            # top (no entry matches the others' inf); a higher top drops the rest
+            level = [top if top >= best[c] else math.inf for c, top in zip(cs, tops)]
+            at = np.flatnonzero(block == np.array(level, dtype=block.dtype)[:, None, None])
+            found = rows.ravel()[at // len(cols)] | cols[at % len(cols)]
+            ends = at.searchsorted(np.arange(1, len(cs) + 1) * block[0].size).tolist()
+            for c, top, lo, hi in zip(cs, tops, [0, *ends], ends):
+                if hi > lo:
+                    picks[c] = (picks[c] if top == best[c] else []) + [found[lo:hi]]
+        for c, top in zip(cs, tops):
+            best[c] = max(best[c], int(top))
     if not ties or not reps:
         return [(rep, top, {}) for rep, top in zip(reps, best)]
     starts = [0, *itertools.accumulate(sum(map(len, pick)) for pick in picks[:-1])]

@@ -15,10 +15,11 @@ cached table of the counts of every input of its first TABLE_LEN symbols
 (`_count_table`, 128 KiB per process) and steps only the symbols past them.
 `split_counts` takes that product whole, in blocks within a byte budget,
 for the channel matrix and `counts_for_all_inputs`; `class_blocks`, for the
-class solve, multiplies each output's tables out in row blocks
-(`block_rows`) below PRUNE_MIN_N and from it on, with `pruned_blocks`, only
-the rows and columns that can hold its maximum, and names each block's
-inputs by numeral.  Tables, products and bounds are integers of at most
+class solve, multiplies out only the rows that can hold an output's
+maximum, for every output of a table batch in one stacked product below
+PRUNE_MIN_N, and from it on one output at a time with `pruned_blocks`,
+which drops columns too; it names each block's inputs by numeral.
+Tables, products and bounds are integers of at most
 C(n, m) < 2^24 for n <= VECTOR_MAX_N, so they stay in float32, exactly,
 from the walk to the product.
 
@@ -48,8 +49,9 @@ COUNT_DTYPE = np.dtype(np.float32)
 # Working set of one split kernel call: tables in 3/4, a product block in 1/4.
 SPLIT_BYTES = 1 << 18
 
-# First n whose classes take the pruned product; README has the measured trade-off.
-PRUNE_MIN_N = 16
+# First n whose classes are pruned one at a time, columns too; README has
+# the measured trade-off.
+PRUNE_MIN_N = 18
 
 # Every walk starts from a cached count table of all inputs of its first
 # TABLE_LEN symbols, 4 * 2^L * 2^(L+1) bytes at L symbols: TABLE_LEN is the
@@ -197,9 +199,13 @@ def split_batch(n: int, m: int) -> int:
     walk's last level holds its parent level and its children, 6R bytes per
     lane, and the tables are views of the children; each output is charged
     8R bytes per lane of both tables all the same, which keeps the batch
-    sizes measured before the tables became views.  A walk's start state,
-    gathered from the cached count table, holds 4R bytes per lane, under
-    the 6R charged; the cached table itself is not charged.
+    sizes measured before the tables became views.  It must stay while
+    `split_counts` shares it: the batch bounds fix the channel build's
+    blocks and so the order in which it sums h.  Doubled batches left w
+    bit-identical but moved h by up to 1.2e-15 (relative) at n = 11 and
+    12, and batches 1.85x as large moved it at n = 10 too.  A walk's start
+    state, gathered from the cached count table, holds 4R bytes per lane,
+    under the 6R charged; the cached table itself is not charged.
     """
     a, b = n // 2, n - n // 2
     table_bytes = 2 * COUNT_DTYPE.itemsize * (min(m, b) + 1) * ((1 << a) + (1 << b))
@@ -324,27 +330,53 @@ def pruned_blocks(pre: np.ndarray, suf: np.ndarray):
 
 
 def class_blocks(reps, m: int, n: int):
-    """(c, block, rows, cols) per block of the counts of the length-m output
-    reps[c], in order of c: block[i, j] = #(rows[i] | cols[j], reps[c]), rows
-    the numerals u * 2^b and cols the v of the split x = u v of `split_tables`.
+    """(cs, block, rows, cols) per block of the counts of the length-m
+    outputs reps[cs], cs a range, in order of cs: block[k, i, j] =
+    #(rows[k, i] | cols[j], reps[cs[k]]), rows the numerals u * 2^b and
+    cols the v of the split x = u v of `split_tables`.  Each output's blocks hold every maximizer of
+    it, within the last quarter of SPLIT_BYTES whenever one row fits it.
 
-    Below PRUNE_MIN_N the blocks are the dense product pre^T @ suf in rows u
-    that fit the last quarter of SPLIT_BYTES (`block_rows`: the whole
-    product up to n = 14, two halves at n = 15) and tile {0,1}^n once; from
-    it on, the `pruned_blocks`, which hold every maximizer of the output and
-    skip the rows and columns that cannot.
+    Below PRUNE_MIN_N each table batch takes one row-pruned product: no
+    entry of row u of output c exceeds ub[c, u] = pre[c, :, u] .
+    max_v suf[c, :, v] (the maximum taken per band row), the row at the
+    argmax of ub holds an entry inc[c] <= the maximum, and the rows with
+    ub >= inc are kept, ties included, padded to the batch's largest count
+    K with repeats of the argmax row.  The (outputs, K, 2^b) product goes
+    in blocks of whole outputs, or of `block_rows` rows of one.  Bounds and
+    products are exact as in `pruned_blocks`, which each output takes
+    alone from PRUNE_MIN_N on, dropping columns too.
     """
     a, b = n // 2, n - n // 2
-    us, vs = np.arange(1 << a) << b, np.arange(1 << b)
+    vs = np.arange(1 << b)
     step = block_rows(1 << b)
     for first, pre, suf in split_tables(reps, m, n):
-        for c, (p, s) in enumerate(zip(pre, suf), first):
-            if n < PRUNE_MIN_N:
-                for u in range(0, p.shape[1], step):
-                    yield c, p[:, u : u + step].T @ s, us[u : u + step], vs
-            else:
+        if n >= PRUNE_MIN_N:
+            for c, p, s in zip(range(first, first + len(pre)), pre, suf):
                 for rows, cols, block in pruned_blocks(p, s):
-                    yield c, block, rows << b, cols
+                    yield range(c, c + 1), block[None], rows[None] << b, cols
+            continue
+        cs = np.arange(len(pre))
+        ub = np.matmul(suf.max(axis=2)[:, None], pre)[:, 0]
+        top = ub.argmax(axis=1)
+        # suf's band runs backwards, and the products take it in walk order
+        # (a view BLAS can read) and the gathered prefix rows reversed
+        fwd = suf[:, ::-1]
+        inc = np.matmul(pre[cs, ::-1, top][:, None], fwd).max(axis=2)
+        # the kept rows of each class in order of u, padded with its argmax row
+        flat = np.flatnonzero(ub >= inc)
+        kc, ku = flat >> a, flat & ((1 << a) - 1)
+        counts = np.bincount(kc, minlength=len(pre))
+        us = np.empty((len(pre), counts.max()), dtype=np.int64)
+        us[:] = top[:, None]
+        us[kc, np.arange(len(kc)) - (np.cumsum(counts) - counts)[kc]] = ku
+        kept = pre[cs[:, None], ::-1, us]
+        K = us.shape[1]
+        outs = max(1, step // K)
+        for c in range(0, len(pre), outs):
+            for i in range(0, K, step):
+                block = np.matmul(kept[c : c + outs, i : i + step], fwd[c : c + outs])
+                rows = us[c : c + outs, i : i + step] << b
+                yield range(first + c, first + c + len(block)), block, rows, vs
 
 
 def counts_for_all_inputs(y: BinarySequence, n: int) -> np.ndarray:

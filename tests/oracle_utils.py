@@ -17,8 +17,9 @@ slow references the new paths must agree with:
   replaced (to rounding);
 - `split_counts_solve`, the dense class solve on the `split_counts` blocks,
   reduced to each class's maximum and argmax set, which
-  `delcap.mdm._solve_class` on the dense `delcap.patcount.class_blocks`
-  below `delcap.patcount.PRUNE_MIN_N` replaced (exactly);
+  `delcap.mdm._solve_class` on the `delcap.patcount.class_blocks` below
+  `delcap.patcount.PRUNE_MIN_N` (dense row blocks, now one row-pruned
+  product per table batch) replaced (exactly);
 - `partition_dup_sum_assign_by_length`, the partition enumeration that the
   run-length DP replaced (exactly), and `full_dp_dup_sum_assign_by_length`,
   that DP with its last run length taken as a step like the others, which

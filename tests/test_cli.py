@@ -320,6 +320,38 @@ def test_bounds_gnuplot_script(tmp_path):
     assert str(out) in script
 
 
+def _gnuplot_single_quoted(text):
+    # gnuplot reads '' in a single-quoted string as one quote and ends the
+    # string at any other quote; returns the string and the rest of the line
+    value, at = b"", 1
+    while True:
+        end = text.index(b"'", at)
+        value += text[at:end]
+        if text[end + 1 : end + 2] != b"'":
+            return value, text[end + 1 :]
+        value, at = value + b"'", end + 2
+
+
+@pytest.mark.parametrize("name", ["a'b.csv", "\u00e9.csv", "a`b@c\"d\\e.csv"])
+def test_bounds_gnuplot_script_names_any_path(tmp_path, name):
+    out = tmp_path / name
+    argv = ["bounds", "--channel", "bec", "--d-grid", "0.2:0.8:0.2", "--gnuplot", "--output", str(out)]
+    assert run(argv) == 0
+    script = (tmp_path / (name + ".gp")).read_bytes()
+    [line] = [line for line in script.split(b"\n") if line.startswith(b"  '")]
+    path, rest = _gnuplot_single_quoted(line[2:])
+    assert path == os.fsencode(out)
+    assert rest.startswith(b" using 1:")
+    assert out.read_text().startswith("d,kind,n,value\n")
+
+
+def test_bounds_gnuplot_refuses_a_path_it_cannot_quote_before_writing(tmp_path):
+    out = tmp_path / "a\nb.csv"
+    argv = ["bounds", "--channel", "bec", "--d-grid", "0.2:0.8:0.2", "--gnuplot", "--output", str(out)]
+    assert run(argv) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_bounds_skips_degenerate_points(tmp_path, capsys):
     out = tmp_path / "deg.csv"
     # d extremely close to 1 leaves no typical output symbols

@@ -119,6 +119,8 @@ def test_tie_breaks_settled_across_kept_row_blocks(monkeypatch, n):
             yield us, vs, block
 
     monkeypatch.setattr(patcount, "pruned_blocks", recording)
+    # below PRUNE_MIN_N the classes take the batched product instead
+    monkeypatch.setattr(patcount, "PRUNE_MIN_N", 0)
     split = []
     for budget, lengths in ((patcount.SPLIT_BYTES, [0]), (32 << 8, [3, 5, 8])):
         monkeypatch.setattr(patcount, "SPLIT_BYTES", budget)
@@ -597,6 +599,8 @@ def test_pooled_table_and_resume_match_walk_oracle(tmp_path, n, m):
 
 
 def _dense_and_pruned(monkeypatch, reps, m, n, ties=True):
+    # "dense" names the path below PRUNE_MIN_N, now one row-pruned product
+    # per table batch; "pruned" the per-class rows and columns from it on
     monkeypatch.setattr(patcount, "PRUNE_MIN_N", n + 1)
     dense = _solve_class(reps, m, n, ties)
     monkeypatch.setattr(patcount, "PRUNE_MIN_N", n)
@@ -645,6 +649,7 @@ def test_pruned_blocks_stay_within_the_budget(monkeypatch):
             yield us, vs, block
 
     monkeypatch.setattr(patcount, "pruned_blocks", recording)
+    monkeypatch.setattr(patcount, "PRUNE_MIN_N", 0)
     # with no budget every kept product goes one row at a time; at
     # 32 * 2^b bytes a quarter holds a whole row of 2^b columns, so blocks
     # take several rows and still fit it
@@ -675,20 +680,27 @@ def test_dense_blocks_stay_within_the_budget(monkeypatch):
     blocks, class_blocks = [], mdm.class_blocks
 
     def recording(reps, m, n):
-        for c, block, us, vs in class_blocks(reps, m, n):
-            assert block.shape == (len(us), len(vs))
-            blocks.append((c, block.nbytes))
-            yield c, block, us, vs
+        for cs, block, us, vs in class_blocks(reps, m, n):
+            assert block.shape == (len(cs), us.shape[1], len(vs))
+            blocks.append((list(cs), block.nbytes))
+            yield cs, block, us, vs
 
     monkeypatch.setattr(mdm, "class_blocks", recording)
-    for n in range(patcount.PRUNE_MIN_N):
-        for m in {0, n // 2, n}:
-            blocks.clear()
-            reps = _classes(m)[1]
-            _solve_class(reps, m, n, ties=True)
-            assert max(nbytes for _, nbytes in blocks) <= patcount.SPLIT_BYTES // 4
-            # a whole product up to n = 14, two halves of its rows at n = 15
-            assert [c for c, _ in blocks] == [c for c in range(len(reps)) for _ in range(1 + (n == 15))]
+    # at 1 KiB (the last budget) a quarter holds one row of 2^b columns up
+    # to n = 12, and a class's kept rows split over several blocks
+    for budget, top_n in ((patcount.SPLIT_BYTES, patcount.PRUNE_MIN_N), (1 << 10, 13)):
+        monkeypatch.setattr(patcount, "SPLIT_BYTES", budget)
+        split = False
+        for n in range(top_n):
+            for m in {0, n // 2, n}:
+                blocks.clear()
+                reps = _classes(m)[1]
+                _solve_class(reps, m, n, ties=True)
+                assert max(nbytes for _, nbytes in blocks) <= budget // 4, (budget, n, m)
+                order = [c for cs, _ in blocks for c in cs]
+                assert order == sorted(order) and set(order) == set(range(len(reps)))
+                split |= len(order) > len(set(order))
+    assert split
 
 
 def test_pruned_path_matches_walk_oracle(monkeypatch):

@@ -197,27 +197,28 @@ def test_split_counts_blocks_cover_every_pair_in_order(monkeypatch, budget):
         assert cursor == {c: 2**n for c in range(len(ys))}
 
 
-@pytest.mark.parametrize("n", [9, 14, 15, 16, 17])
+@pytest.mark.parametrize("n", [9, 14, 15, 16, 17, 18, 19])
 def test_class_blocks_name_their_inputs_by_numeral(n):
-    # at n = 15 and 17 the prefix has a = n // 2 symbols and the suffix
-    # b = a + 1, so a row numeral shifted by a instead of b lands elsewhere;
-    # dense blocks tile every input once, pruned ones keep every maximizer
+    # at odd n the prefix has a = n // 2 symbols and the suffix b = a + 1,
+    # so a row numeral shifted by a instead of b lands elsewhere; below
+    # PRUNE_MIN_N a block holds several classes, from it on one, and either
+    # way each class's blocks keep every maximizer
     for m in sorted({0, n // 2, n - 1}):
         reps = _classes(m)[1]
         reps = sorted(random.Random(n * 100 + m).sample(reps, min(20, len(reps))))
+        wants = [counts_for_all_inputs(BinarySequence(rep, m), n) for rep in reps]
         seen = [[] for _ in reps]
-        for c, block, rows, cols in patcount.class_blocks(reps, m, n):
-            xs = rows[:, None] | cols
-            want = counts_for_all_inputs(BinarySequence(reps[c], m), n)
-            assert np.array_equal(block, want[xs]), (n, m, c)
-            seen[c].append(xs.ravel())
-        for rep, xs in zip(reps, seen):
+        order = []
+        for cs, block, rows, cols in patcount.class_blocks(reps, m, n):
+            assert block.shape == (len(cs), rows.shape[1], len(cols))
+            for c, counts, xs in zip(cs, block, rows[:, :, None] | cols):
+                assert np.array_equal(counts, wants[c][xs]), (n, m, c)
+                seen[c].append(xs.ravel())
+            order += cs
+        assert order == sorted(order)
+        for rep, want, xs in zip(reps, wants, seen):
             covered = np.concatenate(xs)
-            if n < patcount.PRUNE_MIN_N:
-                assert np.array_equal(np.sort(covered), np.arange(1 << n)), (n, m, rep)
-            else:
-                want = counts_for_all_inputs(BinarySequence(rep, m), n)
-                assert np.isin(np.flatnonzero(want == want.max()), covered).all(), (n, m, rep)
+            assert np.isin(np.flatnonzero(want == want.max()), covered).all(), (n, m, rep)
 
 
 def test_count_dtype_holds_every_count_up_to_the_cap():
