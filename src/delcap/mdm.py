@@ -256,7 +256,10 @@ def _solve_class(reps: list, m: int, n: int, ties: bool = False) -> list[tuple[i
             level = [top if top >= best[c] else math.inf for c, top in zip(cs, tops)]
             at = np.flatnonzero(block == np.array(level, dtype=block.dtype)[:, None, None])
             found = rows.ravel()[at // len(cols)] | cols[at % len(cols)]
-            ends = at.searchsorted(np.arange(1, len(cs) + 1) * block[0].size).tolist()
+            if len(cs) == 1:  # every block from PRUNE_MIN_N on: no split to find
+                ends = [len(at)]
+            else:
+                ends = at.searchsorted(np.arange(1, len(cs) + 1) * block[0].size).tolist()
             for c, top, lo, hi in zip(cs, tops, [0, *ends], ends):
                 if hi > lo:
                     picks[c] = (picks[c] if top == best[c] else []) + [found[lo:hi]]

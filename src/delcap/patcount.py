@@ -15,8 +15,9 @@ cached table of the counts of every input of its first TABLE_LEN symbols
 (`_count_table`, 128 KiB per process) and steps only the symbols past them.
 `split_counts` takes that product whole, in blocks within a byte budget,
 for the channel matrix and `counts_for_all_inputs`; `class_blocks`, for the
-class solve, multiplies out only the rows that can hold an output's
-maximum, for every output of a table batch in one stacked product below
+class solve, bounds the rows of every output of a table batch at once
+(`row_bounds`) and multiplies out only the rows that can hold an output's
+maximum, for the outputs of a batch together in stacked products below
 PRUNE_MIN_N, and from it on one output at a time with `pruned_blocks`,
 which drops columns too; it names each block's inputs by numeral.
 Tables, products and bounds are integers of at most
@@ -294,18 +295,35 @@ def _split_blocks(tables, n: int):
                 yield first + c, u << b, block.reshape(len(block), -1)
 
 
-def pruned_blocks(pre: np.ndarray, suf: np.ndarray):
+def row_bounds(pre: np.ndarray, suf: np.ndarray):
+    """(ub, row) for the band-major `split_tables` of several outputs,
+    pre[c, j, u] and suf[c, j, v]: the row bound and first incumbent row of
+    the split search of Horowitz and Sahni.
+
+    No entry of row u of output c's product pre[c]^T @ suf[c] exceeds
+    ub[c, u] = pre[c, :, u] . max_v suf[c, :, v] (the maximum taken per band
+    row), and row[c] is the row of that product at the argmax of ub[c], so
+    none of its entries exceeds output c's maximum.  Both take 4 bytes per
+    lane of the tables of every output.
+    """
+    ub = np.matmul(suf.max(axis=2)[:, None], pre)[:, 0]
+    # suf's band runs backwards, and the product takes it in walk order (a
+    # view BLAS can read) and the prefix column gathered reversed
+    top = pre[np.arange(len(pre)), ::-1, ub.argmax(axis=1)]
+    return ub, np.matmul(top[:, None], suf[:, ::-1])[:, 0]
+
+
+def pruned_blocks(pre: np.ndarray, suf: np.ndarray, ub_u: np.ndarray, row: np.ndarray):
     """Blocks of one output's product pre^T @ suf that hold every maximal entry.
 
-    pre[j, u] and suf[j, v] are one output's band-major `split_tables`.
+    pre[j, u] and suf[j, v] are one output's band-major `split_tables`, and
+    ub_u and row its row bound and first incumbent row from `row_bounds`.
     Returns an iterator of (us, vs, pre[:, us]^T @ suf[:, vs]), in order of
-    u.  As in the split search of Horowitz and Sahni, no entry of row u
-    exceeds ub_u[u] = pre[:, u] . max_v suf[:, v] (the maximum taken per
-    band row), none of column v exceeds ub_v[v] = suf[:, v] . max_u
-    pre[:, u], and an incumbent entry inc, from three rounds of alternating
-    row and column argmax, is at most the maximum.  The rows and columns
-    with bound >= inc are kept, so every maximizing (u, v) survives, ties
-    included.
+    u.  Likewise no entry of column v exceeds ub_v[v] = suf[:, v] . max_u
+    pre[:, u], and the incumbent inc, the entry that three rounds of
+    alternating column and row argmax reach from row, is at most the
+    maximum.  The rows and columns with bound >= inc are kept, so every
+    maximizing (u, v) survives, ties included.
 
     Every entry, bound and partial sum is a non-negative integer at most
     C(n, m) (the Vandermonde bound of `split_counts`; a bound's terms are at
@@ -314,13 +332,11 @@ def pruned_blocks(pre: np.ndarray, suf: np.ndarray):
     whenever one kept row does, as a row of all 2^b columns always does at
     the default budget for n <= VECTOR_MAX_N.
     """
-    ub_u = suf.max(axis=1) @ pre
     ub_v = pre.max(axis=1) @ suf
-    u = ub_u.argmax()
-    for _ in range(3):
-        v = (pre[:, u] @ suf).argmax()
-        u = (suf[:, v] @ pre).argmax()
-    inc = pre[:, u] @ suf[:, v]
+    v = row.argmax()
+    for _ in range(2):
+        v = (pre[:, (suf[:, v] @ pre).argmax()] @ suf).argmax()
+    inc = (suf[:, v] @ pre).max()
     us, vs = np.flatnonzero(ub_u >= inc), np.flatnonzero(ub_v >= inc)
     kept = suf[:, vs]
     step = block_rows(len(vs))
@@ -329,54 +345,77 @@ def pruned_blocks(pre: np.ndarray, suf: np.ndarray):
         yield rows, vs, pre[:, rows].T @ kept
 
 
+def _kept_rows(keep: np.ndarray) -> np.ndarray:
+    """us[c] = the u with keep[c, u] in increasing order, padded to the
+    largest count with the u kept next in keep's row-major order (those of
+    the next output, and past the last output its last u again).
+
+    Every row of keep holds a u.  Placing them takes three int64 arrays of
+    at most keep.size entries.
+    """
+    a = keep.shape[1].bit_length() - 1
+    flat = np.flatnonzero(keep)
+    counts = np.bincount(flat >> a, minlength=len(keep))
+    at = (counts.cumsum() - counts)[:, None] + np.arange(counts.max())
+    return flat.take(at, mode="clip") & ((1 << a) - 1)
+
+
 def class_blocks(reps, m: int, n: int):
     """(cs, block, rows, cols) per block of the counts of the length-m
     outputs reps[cs], cs a range, in order of cs: block[k, i, j] =
     #(rows[k, i] | cols[j], reps[cs[k]]), rows the numerals u * 2^b and
-    cols the v of the split x = u v of `split_tables`.  Each output's blocks hold every maximizer of
-    it, within the last quarter of SPLIT_BYTES whenever one row fits it.
+    cols the v of the split x = u v of `split_tables`.  Each output's
+    blocks hold every maximizer of it, and each block fits the last
+    quarter of SPLIT_BYTES whenever one of its rows does.
 
-    Below PRUNE_MIN_N each table batch takes one row-pruned product: no
-    entry of row u of output c exceeds ub[c, u] = pre[c, :, u] .
-    max_v suf[c, :, v] (the maximum taken per band row), the row at the
-    argmax of ub holds an entry inc[c] <= the maximum, and the rows with
-    ub >= inc are kept, ties included, padded to the batch's largest count
-    K with repeats of the argmax row.  The (outputs, K, 2^b) product goes
-    in blocks of whole outputs, or of `block_rows` rows of one.  Bounds and
-    products are exact as in `pruned_blocks`, which each output takes
-    alone from PRUNE_MIN_N on, dropping columns too.
+    Every table batch takes its `row_bounds` at once.  Below PRUNE_MIN_N
+    each output keeps the rows u with ub[c, u] >= the maximum of row[c],
+    ties included, padded to the largest count K of its group by
+    `_kept_rows`.  Every other row of output c has a bound below that
+    entry, so a padding row adds no entry above c's maximum and no
+    maximizer that c's kept rows miss.  A group is the outputs whose
+    kept-row numerals fit the block share (every batch of symmetry classes
+    below PRUNE_MIN_N is one), and its (outputs, K, 2^b) product goes in
+    blocks of whole outputs, or of `block_rows` rows of one.  From
+    PRUNE_MIN_N on each output takes its `pruned_blocks`, which drop
+    columns too.  Bounds and products are exact as `pruned_blocks` says.
+
+    Beside a batch's tables this holds their bounds, within the batch's
+    charge (`split_batch`), one group's kept rows and their numerals, the
+    column numerals and the block being made; no name here holds a
+    yielded block while the next one is made.  A full batch at n = 14 or
+    17 peaks at 0.94 SPLIT_BYTES at m = 0, where every row ties.
     """
     a, b = n // 2, n - n // 2
     vs = np.arange(1 << b)
     step = block_rows(1 << b)
+    # three int64 arrays of 2^a per output, 24 * 2^a bytes
+    group = block_rows(6 << a)
     for first, pre, suf in split_tables(reps, m, n):
+        ub, row = row_bounds(pre, suf)
         if n >= PRUNE_MIN_N:
-            for c, p, s in zip(range(first, first + len(pre)), pre, suf):
-                for rows, cols, block in pruned_blocks(p, s):
+            for c, tables in enumerate(zip(pre, suf, ub, row), first):
+                for rows, cols, block in pruned_blocks(*tables):
                     yield range(c, c + 1), block[None], rows[None] << b, cols
+                    del block
             continue
-        cs = np.arange(len(pre))
-        ub = np.matmul(suf.max(axis=2)[:, None], pre)[:, 0]
-        top = ub.argmax(axis=1)
-        # suf's band runs backwards, and the products take it in walk order
-        # (a view BLAS can read) and the gathered prefix rows reversed
+        keep = ub >= row.max(axis=1, keepdims=True)
+        del ub, row
+        # the prefix rows gathered reversed meet suf's band in walk order
         fwd = suf[:, ::-1]
-        inc = np.matmul(pre[cs, ::-1, top][:, None], fwd).max(axis=2)
-        # the kept rows of each class in order of u, padded with its argmax row
-        flat = np.flatnonzero(ub >= inc)
-        kc, ku = flat >> a, flat & ((1 << a) - 1)
-        counts = np.bincount(kc, minlength=len(pre))
-        us = np.empty((len(pre), counts.max()), dtype=np.int64)
-        us[:] = top[:, None]
-        us[kc, np.arange(len(kc)) - (np.cumsum(counts) - counts)[kc]] = ku
-        kept = pre[cs[:, None], ::-1, us]
-        K = us.shape[1]
-        outs = max(1, step // K)
-        for c in range(0, len(pre), outs):
-            for i in range(0, K, step):
-                block = np.matmul(kept[c : c + outs, i : i + step], fwd[c : c + outs])
-                rows = us[c : c + outs, i : i + step] << b
-                yield range(first + c, first + c + len(block)), block, rows, vs
+        for g in range(0, len(pre), group):
+            p, s, us = pre[g : g + group], fwd[g : g + group], _kept_rows(keep[g : g + group])
+            kept = p[np.arange(len(p))[:, None], ::-1, us]
+            cs, K = range(first + g, first + g + len(p)), us.shape[1]
+            outs = max(1, step // K)
+            for c in range(0, len(p), outs):
+                for i in range(0, K, step):
+                    yield (
+                        cs[c : c + outs],
+                        np.matmul(kept[c : c + outs, i : i + step], s[c : c + outs]),
+                        us[c : c + outs, i : i + step] << b,
+                        vs,
+                    )
 
 
 def counts_for_all_inputs(y: BinarySequence, n: int) -> np.ndarray:

@@ -112,9 +112,9 @@ def test_tie_breaks_settled_across_kept_row_blocks(monkeypatch, n):
     # maximizer of every member, taken once per chunk, is the walk's argmax
     tops, pruned_blocks = [], patcount.pruned_blocks
 
-    def recording(pre, suf):
+    def recording(*tables):
         tops.append([])
-        for us, vs, block in pruned_blocks(pre, suf):
+        for us, vs, block in pruned_blocks(*tables):
             tops[-1].append(int(block.max()))
             yield us, vs, block
 
@@ -598,22 +598,24 @@ def test_pooled_table_and_resume_match_walk_oracle(tmp_path, n, m):
     assert set(lines) <= set(path.read_text().splitlines())
 
 
-def _dense_and_pruned(monkeypatch, reps, m, n, ties=True):
-    # "dense" names the path below PRUNE_MIN_N, now one row-pruned product
-    # per table batch; "pruned" the per-class rows and columns from it on
-    monkeypatch.setattr(patcount, "PRUNE_MIN_N", n + 1)
-    dense = _solve_class(reps, m, n, ties)
-    monkeypatch.setattr(patcount, "PRUNE_MIN_N", n)
-    return dense, _solve_class(reps, m, n, ties)
+def _assert_both_paths_match_dense(monkeypatch, reps, m, n, ties=True):
+    # rep, maximum and every member's smallest maximizer from the batched
+    # row-pruned product (PRUNE_MIN_N above n) and from the per-class pruned
+    # one (PRUNE_MIN_N = n), each against the dense split_counts solve
+    want = split_counts_solve(reps, m, n)
+    if not ties:
+        want = [(rep, top, {}) for rep, top, _ in want]
+    for crossover in (n + 1, n):
+        monkeypatch.setattr(patcount, "PRUNE_MIN_N", crossover)
+        assert _solve_class(reps, m, n, ties) == want, (n, m, ties, crossover)
+    return want
 
 
 def test_pruned_solve_matches_dense_below_crossover(monkeypatch):
-    # rep, maximum and every member's smallest maximizer, at every length
-    # small enough for the dense product to be cheap
+    # every length small enough for the dense product to be cheap
     for n in range(15):
         for m in range(n + 1):
-            dense, pruned = _dense_and_pruned(monkeypatch, _classes(m)[1], m, n)
-            assert pruned == dense, (n, m)
+            _assert_both_paths_match_dense(monkeypatch, _classes(m)[1], m, n)
 
 
 @pytest.mark.parametrize(
@@ -625,25 +627,23 @@ def test_pruned_solve_matches_dense_past_crossover(monkeypatch, n, m, sample):
     if sample:
         reps = sorted(random.Random(n * 100 + m).sample(reps, sample))
     for ties in (True, False):
-        dense, pruned = _dense_and_pruned(monkeypatch, reps, m, n, ties)
-        assert pruned == dense, (n, m, ties)
+        _assert_both_paths_match_dense(monkeypatch, reps, m, n, ties)
 
 
 def test_largest_count_at_the_cap_is_exact_on_both_paths(monkeypatch):
     # 0^24 gives y = 0^12 all C(24, 12) = 2,704,156 patterns, the largest
     # count the search can meet; the alternating y peaks at C(18, 6)
     reps = [0, 0b010101010101]
-    dense, pruned = _dense_and_pruned(monkeypatch, reps, 12, 24)
-    assert pruned == dense
-    assert [top for _, top, _ in pruned] == [math.comb(24, 12), 18_564]
+    solved = _assert_both_paths_match_dense(monkeypatch, reps, 12, 24)
+    assert [top for _, top, _ in solved] == [math.comb(24, 12), 18_564]
 
 
 def test_pruned_blocks_stay_within_the_budget(monkeypatch):
     want = mdm_table(16, 8).rows
     shapes, pruned_blocks = [], patcount.pruned_blocks
 
-    def recording(pre, suf):
-        for us, vs, block in pruned_blocks(pre, suf):
+    def recording(*tables):
+        for us, vs, block in pruned_blocks(*tables):
             assert block.shape == (len(us), len(vs))
             shapes.append((block.shape[0], block.nbytes))
             yield us, vs, block

@@ -1,5 +1,6 @@
 """Tests for deletion-pattern counting: the DP route against enumeration."""
 
+import collections
 import functools
 import hashlib
 import math
@@ -323,6 +324,26 @@ def test_split_tables_batch_stays_within_its_charge(n):
     finally:
         tracemalloc.stop()
     assert peak <= len(ys) * charge, (n, peak, len(ys) * charge)
+
+
+@pytest.mark.parametrize("n, m", [(n, m) for n in (14, 17) for m in (0, n // 2, n)])
+def test_class_blocks_batch_stays_within_its_charge(n, m):
+    # one full batch drained under tracemalloc, dropping each block as the
+    # next is made, peaks within the tables' charge plus the block share:
+    # the bounds fit the charge and a group's kept rows the share; at m = 0
+    # every row ties, so each output keeps all 2^a of its rows
+    a, b = n // 2, n - n // 2
+    charge = 8 * (min(m, b) + 1) * (2**a + 2**b)
+    ys = range(patcount.split_batch(n, m))
+    patcount._count_table(patcount.TABLE_LEN)  # cached per process, not charged
+    tracemalloc.start()
+    try:
+        collections.deque(patcount.class_blocks(ys, m, n), maxlen=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    budget = len(ys) * charge + patcount.SPLIT_BYTES // 4
+    assert peak <= budget, (n, m, peak, budget)
 
 
 def test_count_table_matches_scalar_dp():
