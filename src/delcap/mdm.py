@@ -38,7 +38,7 @@ import numpy as np
 
 from .bitseq import MAX_LEN, BinarySequence, CapExceededError, numeral_text, runs
 from .dupsum import DupApproach, _run_weights
-from .patcount import VECTOR_MAX_N, class_blocks, count_deletion_patterns, split_batch
+from .patcount import VECTOR_MAX_N, class_batch, class_blocks, count_deletion_patterns
 from .patcount import counts_for_all_inputs  # noqa: F401  (the benchmark tracer wraps this name)
 
 if TYPE_CHECKING:
@@ -202,10 +202,11 @@ def _map_classes(reps: list, m: int, n: int, threads: int, ties: bool = False):
     """Iterator over `_solve_class` results per rep, in order.
 
     The reps, numerals of length m, go in chunks of at most one table batch
-    (`split_batch`), and to up to `threads` processes, no more than there
-    are chunks or CPUs this process may run on (its affinity mask where the
-    platform has one, else every CPU).  `_solve_class` is looked up at call
-    time, so a wrapper installed on the module (a tracer, say) is what runs.
+    of the class solve (`class_batch`), and to up to `threads` processes,
+    no more than there are chunks or CPUs this process may run on (its
+    affinity mask where the platform has one, else every CPU).
+    `_solve_class` is looked up at call time, so a wrapper installed on the
+    module (a tracer, say) is what runs.
     """
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
@@ -213,7 +214,7 @@ def _map_classes(reps: list, m: int, n: int, threads: int, ties: bool = False):
         cpus = os.cpu_count() or 1
     # a worker per CPU at most, so the chunks follow the capped count too
     threads = min(threads, cpus)
-    size = min(split_batch(n, m), -(-len(reps) // threads)) or 1  # 0 when reps is empty
+    size = min(class_batch(n, m), -(-len(reps) // threads)) or 1  # 0 when reps is empty
     chunks = [reps[i : i + size] for i in range(0, len(reps), size)]
     if threads == 1 or len(chunks) < 2:
         for chunk in chunks:

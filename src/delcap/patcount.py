@@ -15,7 +15,8 @@ cached table of the counts of every input of its first TABLE_LEN symbols
 (`_count_table`, 128 KiB per process) and steps only the symbols past them.
 `split_counts` takes that product whole, in blocks within a byte budget,
 for the channel matrix and `counts_for_all_inputs`; `class_blocks`, for the
-class solve, bounds the rows of every output of a table batch at once
+class solve, walks table batches CLASS_TABLES times as large
+(`class_batch`), bounds the rows of every output of a batch at once
 (`row_bounds`) and multiplies out only the rows that can hold an output's
 maximum, for the outputs of a batch together in stacked products below
 PRUNE_MIN_N, and from it on one output at a time with `pruned_blocks`,
@@ -49,6 +50,10 @@ COUNT_DTYPE = np.dtype(np.float32)
 
 # Working set of one split kernel call: tables in 3/4, a product block in 1/4.
 SPLIT_BYTES = 1 << 18
+
+# The class solve's table batches take CLASS_TABLES times the tables' share
+# of SPLIT_BYTES (`class_batch`); README has the sweep that set it.
+CLASS_TABLES = 3
 
 # First n whose classes are pruned one at a time, columns too; README has
 # the measured trade-off.
@@ -193,35 +198,50 @@ def block_rows(width: int) -> int:
     return max(1, SPLIT_BYTES // 4 // (COUNT_DTYPE.itemsize * width))
 
 
-def split_batch(n: int, m: int) -> int:
-    """Outputs of length m whose split tables fit 3/4 of SPLIT_BYTES (>= 1).
+def split_batch(n: int, m: int, shares: int = 1) -> int:
+    """Outputs of length m whose split tables fit `shares` times 3/4 of
+    SPLIT_BYTES (>= 1).
 
     Both walks keep at most R = min(m, n - n//2) + 1 rows of float32.  A
     walk's last level holds its parent level and its children, 6R bytes per
     lane, and the tables are views of the children; each output is charged
     8R bytes per lane of both tables all the same, which keeps the batch
-    sizes measured before the tables became views.  It must stay while
-    `split_counts` shares it: the batch bounds fix the channel build's
-    blocks and so the order in which it sums h.  Doubled batches left w
-    bit-identical but moved h by up to 1.2e-15 (relative) at n = 11 and
-    12, and batches 1.85x as large moved it at n = 10 too.  A walk's start
-    state, gathered from the cached count table, holds 4R bytes per lane,
-    under the 6R charged; the cached table itself is not charged.
+    sizes measured before the tables became views.  At one share it sizes
+    the channel build's batches (`split_counts`), and must stay so: the
+    batch bounds fix the channel build's blocks and so the order in which
+    it sums h.  Doubled batches left w bit-identical but moved h by up to
+    1.2e-15 (relative) at n = 11 and 12, and batches 1.85x as large moved
+    it at n = 10 too.  The class solve sums exactly in any order and takes
+    its own, larger batches (`class_batch`).  A walk's start state,
+    gathered from the cached count table, holds 4R bytes per lane, under
+    the 6R charged; the cached table itself is not charged.
     """
     a, b = n // 2, n - n // 2
     table_bytes = 2 * COUNT_DTYPE.itemsize * (min(m, b) + 1) * ((1 << a) + (1 << b))
-    return max(1, (SPLIT_BYTES - SPLIT_BYTES // 4) // table_bytes)
+    return max(1, shares * (SPLIT_BYTES - SPLIT_BYTES // 4) // table_bytes)
 
 
-def split_tables(ys, m: int, n: int):
+def class_batch(n: int, m: int) -> int:
+    """Outputs of length m per table batch of the class solve: those whose
+    split tables fit CLASS_TABLES shares of `split_batch` (>= 1).
+
+    Below n = 21 a class solve costs a fixed number of numpy calls per
+    batch more than it costs arithmetic, so fewer, larger batches are
+    faster; README has the measured sweep.
+    """
+    return split_batch(n, m, CLASS_TABLES)
+
+
+def split_tables(ys, m: int, n: int, size: int | None = None):
     """The prefix and suffix tables of every output in ys, one batch at a time.
 
     ys holds the numerals of length-m outputs (a list, a range or an int
     array).  Returns an iterator of (first, pre, suf), one per batch of
-    `split_batch(n, m)` outputs, with pre[i, j, u] = #(u, y[:lo + j]) and
-    suf[i, j, v] = #(v, y[lo + j:]) for y = ys[first + i], as exact
-    COUNT_DTYPE integers of shapes (count, band, 2^a) and (count, band,
-    2^b): band-major views of the walks, the input numeral contiguous.
+    `size` outputs (`split_batch(n, m)` by default), with
+    pre[i, j, u] = #(u, y[:lo + j]) and suf[i, j, v] = #(v, y[lo + j:])
+    for y = ys[first + i], as exact COUNT_DTYPE integers of shapes (count,
+    band, 2^a) and (count, band, 2^b): band-major views of the walks, the
+    input numeral contiguous.
 
     Split x = u v with u its a = floor(n/2) leading and v its b = n - a
     trailing symbols.  A deletion pattern of x splits into one of u and one
@@ -232,30 +252,35 @@ def split_tables(ys, m: int, n: int):
     table comes from a walk over u's symbols; the suffix table from the same
     walk run over y and v from their last symbols.  Both are indexed by
     numeral, so the counts of every x = u * 2^b + v are pre[i].T @ suf[i].
-    A batch's tables and walk temporaries fit three quarters of
-    SPLIT_BYTES; an output whose tables alone exceed that still makes a
-    batch of one.
+    A batch's tables and walk temporaries fit its charge (`split_batch`),
+    three quarters of SPLIT_BYTES at the default size; an output whose
+    tables alone exceed that still makes a batch of one.  No batch is held
+    here while the next one is walked.
     """
     if m > n:
         raise ValueError(f"output longer than input ({m} > {n})")
     if n > VECTOR_MAX_N:
         raise CapExceededError(f"vector sweep capped at n <= {VECTOR_MAX_N}, got {n}")
-    return _walk_tables(ys, m, n)
+    return _walk_tables(ys, m, n, size or split_batch(n, m))
 
 
-def _walk_tables(ys, m: int, n: int):
+def _walk_tables(ys, m: int, n: int, size: int):
     a, b = n // 2, n - n // 2
     lo, hi = max(0, m - b), min(a, m)
     shifts = np.arange(m - 1, -1, -1)
-    size = split_batch(n, m)
     for first in range(0, len(ys), size):
         sym = (np.asarray(ys[first : first + size], dtype=np.int64)[:, None] >> shifts) & 1
-        pre = _walk(sym, a, hi + 1, append=True)[:, lo:]
         # the suffix walk runs over y and v from their last symbols, so its
         # lanes are v and its row t counts y's last t symbols: row m - k
-        # pairs with prefix row k
+        # pairs with prefix row k.  It goes first: it steps as many symbols
+        # as the prefix walk or one more, and numpy buffers more of a
+        # stepped level's operands for it (its child rows are strided), so
+        # the prefix walk runs beside the finished suffix table, not the
+        # other way round
         suf = _walk(sym[:, ::-1], b, m - lo + 1, append=False)[:, m - hi :][:, ::-1]
+        pre = _walk(sym, a, hi + 1, append=True)[:, lo:]
         yield first, pre, suf
+        del pre, suf
 
 
 def split_counts(ys, m: int, n: int):
@@ -293,6 +318,8 @@ def _split_blocks(tables, n: int):
             for u in range(0, pre.shape[1], step):
                 block = np.matmul(pre[c : c + outs, u : u + step], suf[c : c + outs])
                 yield first + c, u << b, block.reshape(len(block), -1)
+        # the next batch is walked without this one
+        del pre, suf, block
 
 
 def row_bounds(pre: np.ndarray, suf: np.ndarray):
@@ -368,54 +395,68 @@ def class_blocks(reps, m: int, n: int):
     blocks hold every maximizer of it, and each block fits the last
     quarter of SPLIT_BYTES whenever one of its rows does.
 
-    Every table batch takes its `row_bounds` at once.  Below PRUNE_MIN_N
-    each output keeps the rows u with ub[c, u] >= the maximum of row[c],
-    ties included, padded to the largest count K of its group by
-    `_kept_rows`.  Every other row of output c has a bound below that
-    entry, so a padding row adds no entry above c's maximum and no
-    maximizer that c's kept rows miss.  A group is the outputs whose
-    kept-row numerals fit the block share (every batch of symmetry classes
-    below PRUNE_MIN_N is one), and its (outputs, K, 2^b) product goes in
-    blocks of whole outputs, or of `block_rows` rows of one.  From
-    PRUNE_MIN_N on each output takes its `pruned_blocks`, which drop
-    columns too.  Bounds and products are exact as `pruned_blocks` says.
+    The tables come in batches of `class_batch` outputs, CLASS_TABLES
+    times the channel build's, and every batch takes its `row_bounds` at
+    once.  Below PRUNE_MIN_N each output keeps the rows u with ub[c, u] >=
+    the maximum of row[c], ties included, padded to the largest count K of
+    its group by `_kept_rows`.  Every other row of output c has a bound
+    below that entry, so a padding row adds no entry above c's maximum and
+    no maximizer that c's kept rows miss.  A group is the outputs whose
+    kept-row numerals fit the block share, 21 at n = 14 and 10 at n = 17,
+    and its (outputs, K, 2^b) product goes in blocks of whole outputs, or
+    of `block_rows` rows of one.  From PRUNE_MIN_N on each output takes its
+    `pruned_blocks`, which drop columns too.  Bounds and products are exact
+    as `pruned_blocks` says.
 
     Beside a batch's tables this holds their bounds, within the batch's
     charge (`split_batch`), one group's kept rows and their numerals, the
     column numerals and the block being made; no name here holds a
-    yielded block while the next one is made.  A full batch at n = 14 or
-    17 peaks at 0.94 SPLIT_BYTES at m = 0, where every row ties.
+    yielded block while the next one is made, nor a batch while the next
+    one is walked.  At m = 0, where every row ties and R = 1, a batch's
+    tables and both of its row bounds fill the charge, and a full batch at
+    n = 14 or 17 peaks 1-2 % above it, within the block share.
     """
+    blocks = _pruned_class_blocks if n >= PRUNE_MIN_N else _stacked_class_blocks
+    for first, pre, suf in split_tables(reps, m, n, class_batch(n, m)):
+        yield from blocks(first, pre, suf, n)
+        del pre, suf
+
+
+def _pruned_class_blocks(first: int, pre: np.ndarray, suf: np.ndarray, n: int):
+    b = n - n // 2
+    for c, tables in enumerate(zip(pre, suf, *row_bounds(pre, suf)), first):
+        for rows, cols, block in pruned_blocks(*tables):
+            yield range(c, c + 1), block[None], rows[None] << b, cols
+            del block
+
+
+def _stacked_class_blocks(first: int, pre: np.ndarray, suf: np.ndarray, n: int):
     a, b = n // 2, n - n // 2
     vs = np.arange(1 << b)
     step = block_rows(1 << b)
     # three int64 arrays of 2^a per output, 24 * 2^a bytes
     group = block_rows(6 << a)
-    for first, pre, suf in split_tables(reps, m, n):
-        ub, row = row_bounds(pre, suf)
-        if n >= PRUNE_MIN_N:
-            for c, tables in enumerate(zip(pre, suf, ub, row), first):
-                for rows, cols, block in pruned_blocks(*tables):
-                    yield range(c, c + 1), block[None], rows[None] << b, cols
-                    del block
-            continue
-        keep = ub >= row.max(axis=1, keepdims=True)
-        del ub, row
-        # the prefix rows gathered reversed meet suf's band in walk order
-        fwd = suf[:, ::-1]
-        for g in range(0, len(pre), group):
-            p, s, us = pre[g : g + group], fwd[g : g + group], _kept_rows(keep[g : g + group])
-            kept = p[np.arange(len(p))[:, None], ::-1, us]
-            cs, K = range(first + g, first + g + len(p)), us.shape[1]
-            outs = max(1, step // K)
-            for c in range(0, len(p), outs):
-                for i in range(0, K, step):
-                    yield (
-                        cs[c : c + outs],
-                        np.matmul(kept[c : c + outs, i : i + step], s[c : c + outs]),
-                        us[c : c + outs, i : i + step] << b,
-                        vs,
-                    )
+    ub, inc = row_bounds(pre, suf)
+    # each output's incumbent is the maximum of its row; the rows go before
+    # keep is made, so the batch never holds both bounds and keep
+    inc = inc.max(axis=1, keepdims=True)
+    keep = ub >= inc
+    del ub, inc
+    # the prefix rows gathered reversed meet suf's band in walk order
+    fwd = suf[:, ::-1]
+    for g in range(0, len(pre), group):
+        p, s, us = pre[g : g + group], fwd[g : g + group], _kept_rows(keep[g : g + group])
+        kept = p[np.arange(len(p))[:, None], ::-1, us]
+        cs, K = range(first + g, first + g + len(p)), us.shape[1]
+        outs = max(1, step // K)
+        for c in range(0, len(p), outs):
+            for i in range(0, K, step):
+                yield (
+                    cs[c : c + outs],
+                    np.matmul(kept[c : c + outs, i : i + step], s[c : c + outs]),
+                    us[c : c + outs, i : i + step] << b,
+                    vs,
+                )
 
 
 def counts_for_all_inputs(y: BinarySequence, n: int) -> np.ndarray:

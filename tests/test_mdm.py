@@ -638,6 +638,48 @@ def test_largest_count_at_the_cap_is_exact_on_both_paths(monkeypatch):
     assert [top for _, top, _ in solved] == [math.comb(24, 12), 18_564]
 
 
+def _by_class_batch(monkeypatch, solve):
+    # solve() with class batches of one output (no share: split_batch's
+    # floor of one), of the default size and of every class of one length
+    results = []
+    for shares in (0, patcount.CLASS_TABLES, 1 << 40):
+        monkeypatch.setattr(patcount, "CLASS_TABLES", shares)
+        results.append(solve())
+    return results
+
+
+def test_class_batch_size_changes_no_result(monkeypatch):
+    # every class at n <= 12, ties on and off, and the sum and table built
+    # from them
+    for n in range(13):
+        for m in range(n + 1):
+            reps = _classes(m)[1]
+            one, default, whole = _by_class_batch(
+                monkeypatch,
+                lambda: (
+                    _solve_class(reps, m, n, ties=True),
+                    _solve_class(reps, m, n),
+                    sum_max_counts(n, m),
+                    mdm_table(n, m),
+                ),
+            )
+            assert one == default == whole, (n, m)
+
+
+@pytest.mark.parametrize("n", [16, 18])
+def test_class_batch_size_changes_no_result_sampled(monkeypatch, n):
+    # below and at PRUNE_MIN_N, sampled classes of five lengths, then a
+    # whole sum and table
+    for m in (0, 5, n // 2, n - 3, n):
+        reps = _classes(m)[1]
+        reps = sorted(random.Random(n * 100 + m).sample(reps, min(40, len(reps))))
+        for ties in (True, False):
+            one, default, whole = _by_class_batch(monkeypatch, lambda: _solve_class(reps, m, n, ties))
+            assert one == default == whole, (n, m, ties)
+    one, default, whole = _by_class_batch(monkeypatch, lambda: (sum_max_counts(n, 9), mdm_table(n, 7)))
+    assert one == default == whole, n
+
+
 def test_pruned_blocks_stay_within_the_budget(monkeypatch):
     want = mdm_table(16, 8).rows
     shapes, pruned_blocks = [], patcount.pruned_blocks

@@ -307,43 +307,53 @@ def test_split_tables_match_scalar_dp_sampled(n):
         _assert_tables_match_scalar_dp(sorted(rng.sample(range(1 << m), min(1 << m, 3))), m, n)
 
 
-@pytest.mark.parametrize("n", [14, 18, 20, 22])
-def test_split_tables_batch_stays_within_its_charge(n):
-    # one batch drained under tracemalloc peaks at no more than split_batch
-    # charges it: 8R bytes per lane of both tables per output, R rows
-    m = n // 2
-    a, b = n // 2, n - n // 2
-    charge = 8 * (min(m, b) + 1) * (2**a + 2**b)
-    ys = range(patcount.split_batch(n, m))
+def _drain_peaks(blocks, size):
+    # tracemalloc peaks of draining one, two and three full batches of
+    # `size` outputs, each item dropped as the next is made
     patcount._count_table(patcount.TABLE_LEN)  # cached per process, not charged
-    tracemalloc.start()
-    try:
-        for _ in patcount.split_tables(ys, m, n):
-            pass
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= len(ys) * charge, (n, peak, len(ys) * charge)
+    peaks = []
+    for batches in (1, 2, 3):
+        tracemalloc.start()
+        try:
+            collections.deque(blocks(range(batches * size)), maxlen=0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return peaks
+
+
+def _charge(n, m):
+    # split_batch's charge per output: 8R bytes per lane of both tables
+    a, b = n // 2, n - n // 2
+    return 8 * (min(m, b) + 1) * (2**a + 2**b)
+
+
+# at odd n the suffix walk steps one symbol more than the prefix walk
+@pytest.mark.parametrize("n", [14, 15, 17, 18, 20, 22])
+def test_split_tables_batch_stays_within_its_charge(n):
+    # the tables of a batch, and the channel build's blocks beside them,
+    # peak within one batch's charge (plus the block share) however many
+    # batches are drained: no batch is held while the next is walked
+    m = n // 2
+    size = patcount.split_batch(n, m)
+    charge = size * _charge(n, m)
+    peaks = _drain_peaks(lambda ys: patcount.split_tables(ys, m, n), size)
+    assert max(peaks) <= charge, (n, peaks, charge)
+    peaks = _drain_peaks(lambda ys: patcount.split_counts(ys, m, n), size)
+    assert max(peaks) <= charge + patcount.SPLIT_BYTES // 4, (n, peaks, charge)
 
 
 @pytest.mark.parametrize("n, m", [(n, m) for n in (14, 17) for m in (0, n // 2, n)])
 def test_class_blocks_batch_stays_within_its_charge(n, m):
-    # one full batch drained under tracemalloc, dropping each block as the
-    # next is made, peaks within the tables' charge plus the block share:
-    # the bounds fit the charge and a group's kept rows the share; at m = 0
-    # every row ties, so each output keeps all 2^a of its rows
-    a, b = n // 2, n - n // 2
-    charge = 8 * (min(m, b) + 1) * (2**a + 2**b)
-    ys = range(patcount.split_batch(n, m))
-    patcount._count_table(patcount.TABLE_LEN)  # cached per process, not charged
-    tracemalloc.start()
-    try:
-        collections.deque(patcount.class_blocks(ys, m, n), maxlen=0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    budget = len(ys) * charge + patcount.SPLIT_BYTES // 4
-    assert peak <= budget, (n, m, peak, budget)
+    # one, two and three full class batches peak within one batch's charge
+    # plus the block share: the bounds fit the charge and a group's kept
+    # rows the share; at m = 0 every row ties, so each output keeps all
+    # 2^a of its rows, and its row bounds fill the charge
+    size = patcount.class_batch(n, m)
+    assert size > patcount.split_batch(n, m)
+    budget = size * _charge(n, m) + patcount.SPLIT_BYTES // 4
+    peaks = _drain_peaks(lambda ys: patcount.class_blocks(ys, m, n), size)
+    assert max(peaks) <= budget, (n, m, peaks, budget)
 
 
 def test_count_table_matches_scalar_dp():
