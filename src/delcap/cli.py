@@ -4,6 +4,12 @@ Subcommands: count (one pattern count), mdm-table (exhaustive table as CSV),
 bounds (bound curves over a d-grid as CSV), baa (alternating-maximization
 baseline report), hypotheses (minimal duplication ratio trend).
 
+Every option is defined once, in the table `_SPEC`.  Well-formed argv is
+read straight from it (`_parse_table`); help and anything else it declines
+go to the argparse tree `build_parser` builds from the same table, which
+prints the help or the usage error.  So a successful run imports neither
+argparse nor the gettext and locale modules argparse's messages load.
+
 All CSV output is byte-deterministic for a fixed invocation: fixed row
 order, ratios as %.5f, bound values as %.6f, LF line endings.  Exit codes:
 0 success, 2 usage error, 3 cap exceeded, 4 I/O error.
@@ -11,13 +17,13 @@ order, ratios as %.5f, bound values as %.6f, LF line endings.  Exit codes:
 
 from __future__ import annotations
 
-import argparse
 import csv
 import functools
 import math
 import os
 import sys
 import warnings
+from types import SimpleNamespace
 from typing import Optional
 
 from .baa import baa_capacity
@@ -166,6 +172,8 @@ def cmd_bounds(args) -> int:
     else:
         rows = []
         kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
+        if not kinds:
+            raise ValueError(f"--kinds names no bound kind; pick from {', '.join(_BDC_KIND_TOKENS)}")
         for kind in kinds:
             if kind not in _BDC_KIND_TOKENS:
                 raise ValueError(
@@ -195,14 +203,15 @@ def cmd_bounds(args) -> int:
             "set xlabel 'd'",
             "set ylabel 'bits per symbol'",
             "set key outside",
-            "plot \\",
         ]
         plot_parts = [
             f"  '{quoted}' using 1:(strcol(2) eq '{label}' ? column(4) : NaN) "
             f"with lines title '{label}'"
             for label in labels
         ]
-        script.append(", \\\n".join(plot_parts))
+        # a plot command needs a series: with every point skipped, none
+        if plot_parts:
+            script += ["plot \\", ", \\\n".join(plot_parts)]
         # latin-1 writes each byte of the path back as it is
         with open(args.output + ".gp", "w", encoding="latin-1", newline="") as fh:
             fh.write("\n".join(script) + "\n")
@@ -267,82 +276,148 @@ def cmd_hypotheses(args) -> int:
     return 0
 
 
-# the subcommands in help order
-_COMMANDS = ("count", "mdm-table", "bounds", "baa", "hypotheses")
+# Each subcommand once, in help order: its help line, the function that runs
+# it, then its arguments in the order argparse adds them, each a name (a
+# positional unless it starts with "--") and the keywords of `add_argument`.
+# `build_parser` builds the argparse tree from this table and `_parse_table`
+# reads well-formed argv by it; tests/test_cli_parse.py checks that the two
+# agree.
+_SPEC = {
+    "count": (
+        "count deletion patterns #(x, y)",
+        cmd_count,
+        ("x", dict(help="input sequence, e.g. 00101011")),
+        ("y", dict(help="output sequence, e.g. 0101")),
+        ("--verify", dict(action="store_true", help="also run the brute-force oracle")),
+    ),
+    "mdm-table": (
+        "exhaustive max-count table as CSV",
+        cmd_mdm_table,
+        ("--n", dict(type=int, required=True, help="input length")),
+        ("--m", dict(type=int, required=True, help="output length")),
+        (
+            "--approach",
+            dict(
+                choices=[a.value for a in DupApproach],
+                default=DupApproach.ASSIGN_TO_LAST.value,
+                help="duplication estimate when m does not divide n",
+            ),
+        ),
+        ("--threads", dict(type=int, default=1)),
+        ("--checkpoint", dict(default=None, help="resumable progress file")),
+        ("--output", dict(required=True, help="CSV path")),
+    ),
+    "bounds": (
+        "bound curves over a d-grid as CSV",
+        cmd_bounds,
+        ("--channel", dict(choices=["bec", "bsc", "bdc"], required=True)),
+        ("--n", dict(type=int, default=None, help="block length for ML/dup kinds")),
+        ("--d-grid", dict(required=True, help="start:stop:step, e.g. 0.1:0.9:0.1")),
+        ("--kinds", dict(default="raw,adjusted", help=f"comma list for bdc: {','.join(_BDC_KIND_TOKENS)}")),
+        ("--threads", dict(type=int, default=1)),
+        ("--gnuplot", dict(action="store_true", help="also write <output>.gp")),
+        ("--output", dict(required=True, help="CSV path")),
+    ),
+    "baa": (
+        "alternating-maximization capacity baseline",
+        cmd_baa,
+        ("--n", dict(type=int, required=True)),
+        ("--d", dict(type=float, required=True)),
+        ("--tol", dict(type=float, default=1e-10)),
+        ("--max-iter", dict(type=int, default=20000)),
+        ("--history", dict(default=None, help="optional per-iteration CSV")),
+    ),
+    "hypotheses": (
+        "minimal duplication ratio per n, with trend columns",
+        cmd_hypotheses,
+        ("--n-list", dict(required=True, help="comma list, e.g. 8,10,12,14")),
+        ("--factor", dict(type=int, required=True, help="repeat factor F")),
+        ("--output", dict(required=True, help="CSV path")),
+    ),
+}
+
+_COMMANDS = tuple(_SPEC)
 
 
 @functools.cache
 def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     """The `delcap` parser with every subcommand or with `command`'s alone,
-    built once per process.  The latter still lists them all in its usage
-    line; the full tree leaves that metavar unset, since argparse would
-    also name the subcommand argument by it in its errors.
+    built once per process from `_SPEC`.  The latter still lists them all in
+    its usage line; the full tree leaves that metavar unset, since argparse
+    would also name the subcommand argument by it in its errors.
     """
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="delcap",
         description="Maximum-likelihood capacity bounds for deletion-type channels.",
     )
     metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-
-    if command in (None, "count"):
-        p_count = sub.add_parser("count", help="count deletion patterns #(x, y)")
-        p_count.add_argument("x", help="input sequence, e.g. 00101011")
-        p_count.add_argument("y", help="output sequence, e.g. 0101")
-        p_count.add_argument(
-            "--verify", action="store_true", help="also run the brute-force oracle"
-        )
-        p_count.set_defaults(func=cmd_count)
-
-    if command in (None, "mdm-table"):
-        p_table = sub.add_parser("mdm-table", help="exhaustive max-count table as CSV")
-        p_table.add_argument("--n", type=int, required=True, help="input length")
-        p_table.add_argument("--m", type=int, required=True, help="output length")
-        p_table.add_argument(
-            "--approach",
-            choices=[a.value for a in DupApproach],
-            default=DupApproach.ASSIGN_TO_LAST.value,
-            help="duplication estimate when m does not divide n",
-        )
-        p_table.add_argument("--threads", type=int, default=1)
-        p_table.add_argument("--checkpoint", default=None, help="resumable progress file")
-        p_table.add_argument("--output", required=True, help="CSV path")
-        p_table.set_defaults(func=cmd_mdm_table)
-
-    if command in (None, "bounds"):
-        p_bounds = sub.add_parser("bounds", help="bound curves over a d-grid as CSV")
-        p_bounds.add_argument("--channel", choices=["bec", "bsc", "bdc"], required=True)
-        p_bounds.add_argument("--n", type=int, default=None, help="block length for ML/dup kinds")
-        p_bounds.add_argument("--d-grid", required=True, help="start:stop:step, e.g. 0.1:0.9:0.1")
-        p_bounds.add_argument(
-            "--kinds",
-            default="raw,adjusted",
-            help=f"comma list for bdc: {','.join(_BDC_KIND_TOKENS)}",
-        )
-        p_bounds.add_argument("--threads", type=int, default=1)
-        p_bounds.add_argument("--gnuplot", action="store_true", help="also write <output>.gp")
-        p_bounds.add_argument("--output", required=True, help="CSV path")
-        p_bounds.set_defaults(func=cmd_bounds)
-
-    if command in (None, "baa"):
-        p_baa = sub.add_parser("baa", help="alternating-maximization capacity baseline")
-        p_baa.add_argument("--n", type=int, required=True)
-        p_baa.add_argument("--d", type=float, required=True)
-        p_baa.add_argument("--tol", type=float, default=1e-10)
-        p_baa.add_argument("--max-iter", type=int, default=20000)
-        p_baa.add_argument("--history", default=None, help="optional per-iteration CSV")
-        p_baa.set_defaults(func=cmd_baa)
-
-    if command in (None, "hypotheses"):
-        p_hyp = sub.add_parser(
-            "hypotheses", help="minimal duplication ratio per n, with trend columns"
-        )
-        p_hyp.add_argument("--n-list", required=True, help="comma list, e.g. 8,10,12,14")
-        p_hyp.add_argument("--factor", type=int, required=True, help="repeat factor F")
-        p_hyp.add_argument("--output", required=True, help="CSV path")
-        p_hyp.set_defaults(func=cmd_hypotheses)
-
+    for name, (help_text, func, *arguments) in _SPEC.items():
+        if command in (None, name):
+            p_command = sub.add_parser(name, help=help_text)
+            for flag, keywords in arguments:
+                p_command.add_argument(flag, **keywords)
+            p_command.set_defaults(func=func)
     return parser
+
+
+def _parse_table(argv: list[str]) -> Optional[SimpleNamespace]:
+    """The namespace `build_parser().parse_args(argv)` returns, read straight
+    from `_SPEC`, or None when `argv` is not plainly well formed.
+
+    It takes the subcommand, then its exact long flags (each with its value
+    as the next token), and its positionals in order anywhere among them.  It
+    declines (None) on any other token that starts with "-" (help, unknown
+    or abbreviated flags, `--flag=value`, `--`, a value such as -1), on a
+    value that fails its `type` or `choices`, and on a missing required
+    option or a missing or extra positional; argparse then parses, and
+    prints the help or the usage error.  A repeated flag keeps its last
+    value, as in argparse.
+    """
+    if not argv or argv[0] not in _SPEC:
+        return None
+    _, func, *arguments = _SPEC[argv[0]]
+    values = {"command": argv[0], "func": func}
+    options, positionals, required = {}, [], set()
+    for flag, keywords in arguments:
+        if not flag.startswith("--"):
+            positionals.append(flag)
+            continue
+        dest = flag[2:].replace("-", "_")
+        options[flag] = dest, keywords
+        values[dest] = False if keywords.get("action") == "store_true" else keywords.get("default")
+        if keywords.get("required"):
+            required.add(dest)
+    given = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            given.append(token)
+            continue
+        if token not in options:
+            return None
+        dest, keywords = options[token]
+        if keywords.get("action") == "store_true":
+            values[dest] = True
+            continue
+        # a flag with no token after it declines like one with a flag after it
+        text = next(tokens, "-")
+        if text.startswith("-"):
+            return None
+        try:
+            value = keywords.get("type", str)(text)
+        except (TypeError, ValueError):
+            return None
+        if value not in keywords.get("choices", (value,)):
+            return None
+        values[dest] = value
+        required.discard(dest)
+    if required or len(given) != len(positionals):
+        return None
+    values.update(zip(positionals, given))
+    return SimpleNamespace(**values)
 
 
 def _apply_config(argv: list[str]) -> list[str]:
@@ -384,10 +459,13 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         argv = _apply_config(argv)
-        # argv led by a subcommand needs only its parser; anything else, the
-        # full tree, which lists the choices in its errors
-        command = argv[0] if argv and argv[0] in _COMMANDS else None
-        args = build_parser(command).parse_args(argv)
+        args = _parse_table(argv)
+        if args is None:
+            # help and usage errors: argv led by a subcommand needs only its
+            # parser; anything else, the full tree, which lists the choices
+            # in its errors
+            command = argv[0] if argv and argv[0] in _COMMANDS else None
+            args = build_parser(command).parse_args(argv)
         return args.func(args)
     except SystemExit as exc:  # argparse: usage errors and --help
         return exc.code if isinstance(exc.code, int) else 2

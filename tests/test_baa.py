@@ -13,6 +13,7 @@ from delcap import (
     build_channel_matrix,
     dobrushin_sandwich,
     kkt_residual,
+    sum_max_counts,
 )
 from delcap import baa, patcount
 from delcap.baa import ChannelMatrix, _divergences, _input_divergences, _iterate, _newton, _newton_direction
@@ -457,3 +458,15 @@ def test_report_sandwich_uses_proxy():
     lower, upper = report.sandwich
     assert upper == report.capacity_proxy
     assert lower == pytest.approx(report.capacity_proxy - 2.0 / 3.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_capacity_below_the_ml_sum_over_every_output_length(n):
+    # across two layers: the baseline's capacity is at most the ML bound over
+    # all outputs, (1/n) log2 of sum_y max_x P(y | x), which the class sweep
+    # gives as sum_m (1 - d)^m d^(n - m) sum_max_counts(n, m); the least gap
+    # on this grid is 0.026 bits, at n = 1, d = 0.1
+    for d in (0.1, 0.3, 0.5, 0.7, 0.9):
+        mass = sum((1 - d) ** m * d ** (n - m) * sum_max_counts(n, m) for m in range(n + 1))
+        bound = math.log2(mass) / n
+        assert baa_capacity(n, d).capacity_proxy <= bound, (n, d)

@@ -311,13 +311,48 @@ def test_bounds_unknown_kind_exits_2(tmp_path):
     assert run(["bounds", "--channel", "bdc", "--n", "8", "--d-grid", "0.3:0.7:0.2", "--kinds", "bogus", "--output", str(out)]) == 2
 
 
-def test_bounds_gnuplot_script(tmp_path):
-    out = tmp_path / "c.csv"
-    assert run(["bounds", "--channel", "bec", "--d-grid", "0.2:0.8:0.2", "--gnuplot", "--output", str(out)]) == 0
-    script = (tmp_path / "c.csv.gp").read_text()
-    assert "set datafile separator ','" in script
-    assert "bec_closed" in script
-    assert str(out) in script
+GNUPLOT_HEAD = (
+    "# plot script for {0}\n"
+    "set datafile separator ','\n"
+    "set xlabel 'd'\n"
+    "set ylabel 'bits per symbol'\n"
+    "set key outside\n"
+)
+GNUPLOT_SERIES = "  '{0}' using 1:(strcol(2) eq '{1}' ? column(4) : NaN) with lines title '{1}'"
+
+
+def test_bounds_gnuplot_script(tmp_path, monkeypatch):
+    # one series per kind label, in the order of the CSV's rows
+    monkeypatch.chdir(tmp_path)
+    bdc = ["bounds", "--channel", "bdc", "--n", "6", "--kinds", "raw,trivial"]
+    for argv, labels in (
+        (["bounds", "--channel", "bec"], ["bec_closed"]),
+        (bdc, ["bdc_ml_raw", "trivial_one_minus_d"]),
+    ):
+        assert run(argv + ["--d-grid", "0.2:0.8:0.2", "--gnuplot", "--output", "c.csv"]) == 0
+        series = ", \\\n".join(GNUPLOT_SERIES.format("c.csv", label) for label in labels)
+        assert (tmp_path / "c.csv.gp").read_text() == GNUPLOT_HEAD.format("c.csv") + "plot \\\n" + series + "\n"
+
+
+def test_bounds_gnuplot_script_without_series_has_no_plot(tmp_path, monkeypatch, capsys):
+    # every point degenerate: a header-only CSV, and a script with no plot
+    # command, since gnuplot rejects `plot` with no series
+    monkeypatch.chdir(tmp_path)
+    grid = "0.9999999999999:0.99999999999995:0.00000000000001"
+    argv = ["bounds", "--channel", "bdc", "--n", "1", "--d-grid", grid, "--gnuplot", "--output", "deg.csv"]
+    assert run(argv) == 0
+    assert len(capsys.readouterr().err.splitlines()) == 6 * 2
+    assert (tmp_path / "deg.csv").read_text() == "d,kind,n,value\n"
+    assert (tmp_path / "deg.csv.gp").read_text() == GNUPLOT_HEAD.format("deg.csv")
+
+
+@pytest.mark.parametrize("kinds", [",", "", " , ,"])
+def test_bounds_kinds_naming_no_kind_exits_2(tmp_path, capsys, kinds):
+    out = tmp_path / "k.csv"
+    argv = ["bounds", "--channel", "bdc", "--n", "4", "--d-grid", "0.1:0.9:0.1", "--gnuplot"]
+    assert run(argv + ["--kinds", kinds, "--output", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: --kinds names no bound kind; pick from raw, ")
+    assert list(tmp_path.iterdir()) == []
 
 
 def _gnuplot_single_quoted(text):
